@@ -33,11 +33,12 @@
 # re-verification on every step, show non-zero replay and cache-hit
 # counters, and be at least 2x faster than the cold path when the
 # diff touches <= 20% of the devices), and the fault smoke benchmark
-# (the hybrid graph-min-cut/SMT race must agree with the two-copy SMT
-# encoding alone on every <=k-failure query of both generators, the
-# graph fast path must decide at least one query, and the hybrid must
-# be at least 2x faster than SMT on the graph-decided subset above a
-# noise floor).
+# (the graph-first hybrid, min cut then SMT fallback, must agree with
+# the two-copy SMT encoding alone on every <=k-failure query of both
+# generators, the graph fast path must decide at least one query, and
+# above a noise floor the hybrid must be at least 2x faster than SMT
+# on the graph-decided subset, no slower than SMT over all rows, and
+# within SMT + 10% on every fallback row).
 
 .PHONY: all build test lint fuzz coverage bench-smoke bench-parallel-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke check clean
 

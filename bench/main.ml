@@ -1952,13 +1952,13 @@ let serve_bench ~smoke () =
 (* ---------------- fault: k-failure invariance, hybrid vs SMT ---------------- *)
 
 (* Every query is answered twice: by [Faults.hybrid] (the graph min-cut
-   fast path racing the two-copy SMT encoding inside the portfolio) and
+   fast path first, the two-copy SMT encoding only when it declines) and
    by the two-copy SMT encoding alone.  Cross-path verdict agreement is
-   the differential gate; the speedup gate only counts the subset the
-   graph path actually decided, because that is the only subset where
-   the fast path can claim credit. *)
+   the differential gate.  The speed gates cover the graph-decided
+   subset, every fallback row (declining must stay cheap) and the
+   whole workload (the claim must hold end to end). *)
 let fault_bench ~smoke () =
-  print_endline "== fault: <=k-failure invariance, hybrid (graph + SMT race) vs SMT alone ==";
+  print_endline "== fault: <=k-failure invariance, hybrid (graph first) vs SMT alone ==";
   let ks = [ 1; 2; 3 ] in
   let pods_list = if !full then [ 2; 4; 6 ] else [ 2; 4 ] in
   let fattree_cases =
@@ -1987,7 +1987,7 @@ let fault_bench ~smoke () =
   let enterprise_cases =
     (* OSPF-internal networks are ineligible for the graph path by
        design, so these rows exercise the fall-back-to-SMT leg of the
-       race; k is capped in smoke mode because each verdict is solved
+       hybrid; k is capped in smoke mode because each verdict is solved
        twice on a doubled encoding. *)
     List.map
       (fun (label, inject) ->
@@ -2010,16 +2010,16 @@ let fault_bench ~smoke () =
   let agree_all = ref true in
   let graph_decided = ref 0 in
   let g_smt = ref 0.0 and g_hyb = ref 0.0 in
+  let all_smt = ref 0.0 and all_hyb = ref 0.0 in
+  let fallback_reps = 25 in
   List.iter
     (fun (name, net, sources, dest, ks) ->
       List.iter
         (fun k ->
-          let hr, hyb_ms =
-            time (fun () -> Faults.hybrid net MS.Options.default ~k ~sources dest)
-          in
-          let sr, smt_ms =
-            time (fun () -> MS.Verify.fault_invariant net MS.Options.default ~k ~sources dest)
-          in
+          let hybrid () = Faults.hybrid net MS.Options.default ~k ~sources dest in
+          let smt () = MS.Verify.fault_invariant net MS.Options.default ~k ~sources dest in
+          let hr, hyb_ms = time hybrid in
+          let sr, smt_ms = time smt in
           let hv = MS.Verify.Report.verdict_name hr.MS.Verify.Report.verdict in
           let sv = MS.Verify.Report.verdict_name sr.MS.Verify.Report.verdict in
           let agree = hv = sv in
@@ -2029,22 +2029,41 @@ let fault_bench ~smoke () =
             | Some m -> MS.Verify.Report.method_name m
             | None -> "?"
           in
+          (* on a fallback row both sides run the same SMT solve and one
+             timing is mostly host noise (runs of one solve ranged over 5x
+             on a shared 2-core host): re-time both, alternating which
+             goes first, and keep each side's minimum *)
+          let hyb_ms, smt_ms =
+            if meth <> "fallback" then (hyb_ms, smt_ms)
+            else begin
+              let h = ref hyb_ms and s = ref smt_ms in
+              let once f r = r := Float.min !r (snd (time f)) in
+              for rep = 2 to fallback_reps do
+                if rep mod 2 = 0 then (once smt s; once hybrid h) else (once hybrid h; once smt s)
+              done;
+              (!h, !s)
+            end
+          in
+          all_smt := !all_smt +. smt_ms;
+          all_hyb := !all_hyb +. hyb_ms;
           if meth = "graph" then begin
             incr graph_decided;
             g_smt := !g_smt +. smt_ms;
             g_hyb := !g_hyb +. hyb_ms
           end;
-          Printf.printf "   %-26s k=%d %-9s [%-8s] hybrid %8.1f ms vs smt %8.1f ms%s\n%!" name k
-            hv meth hyb_ms smt_ms
+          Printf.printf "   %-26s k=%d %-9s [%-8s] hybrid %8.1f ms vs smt %8.1f ms%s%s\n%!" name
+            k hv meth hyb_ms smt_ms
+            (if meth = "fallback" then Printf.sprintf " (min of %d)" fallback_reps else "")
             (if agree then "" else "  ** VERDICTS DIVERGE **");
           rows := (name, k, hv, sv, meth, hyb_ms, smt_ms, agree) :: !rows)
         ks)
     cases;
   let speedup = if !g_hyb > 0.0 then !g_smt /. !g_hyb else 0.0 in
+  let all_speedup = if !all_hyb > 0.0 then !all_smt /. !all_hyb else 0.0 in
   Printf.printf
     "   totals: %d queries, %d graph-decided; on that subset hybrid %.1f ms vs smt %.1f ms \
-     (%.1fx)\n%!"
-    (List.length !rows) !graph_decided !g_hyb !g_smt speedup;
+     (%.1fx); all rows hybrid %.1f ms vs smt %.1f ms (%.2fx)\n%!"
+    (List.length !rows) !graph_decided !g_hyb !g_smt speedup !all_hyb !all_smt all_speedup;
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"schema\": 2,\n  \"benchmark\": \"fault\",\n";
   Buffer.add_string buf "  \"rows\": [\n";
@@ -2065,6 +2084,9 @@ let fault_bench ~smoke () =
   Buffer.add_string buf (Printf.sprintf "  \"graph_subset_hybrid_ms\": %.2f,\n" !g_hyb);
   Buffer.add_string buf (Printf.sprintf "  \"graph_subset_smt_ms\": %.2f,\n" !g_smt);
   Buffer.add_string buf (Printf.sprintf "  \"graph_subset_speedup\": %.3f,\n" speedup);
+  Buffer.add_string buf (Printf.sprintf "  \"all_rows_hybrid_ms\": %.2f,\n" !all_hyb);
+  Buffer.add_string buf (Printf.sprintf "  \"all_rows_smt_ms\": %.2f,\n" !all_smt);
+  Buffer.add_string buf (Printf.sprintf "  \"all_rows_speedup\": %.3f,\n" all_speedup);
   Buffer.add_string buf (Printf.sprintf "  \"verdicts_agree\": %b\n}\n" !agree_all);
   let oc = open_out "BENCH_fault.json" in
   output_string oc (Buffer.contents buf);
@@ -2090,14 +2112,33 @@ let fault_bench ~smoke () =
         speedup target !g_smt;
       exit 1
     end;
+    (* whole workload: the fast path may not lose overall what it wins
+       on its subset *)
+    if !all_smt >= floor_ms && all_speedup < 1.0 then begin
+      Printf.eprintf
+        "bench-fault-smoke: hybrid %.1f ms slower than smt %.1f ms over all rows (%.2fx)\n"
+        !all_hyb !all_smt all_speedup;
+      exit 1
+    end;
+    (* a declined graph attempt must cost next to nothing *)
+    let slack = 1.10 in
+    List.iter
+      (fun (name, k, _, _, meth, hyb_ms, smt_ms, _) ->
+        if meth = "fallback" && smt_ms >= floor_ms && hyb_ms > slack *. smt_ms then begin
+          Printf.eprintf
+            "bench-fault-smoke: fallback row %s k=%d hybrid %.1f ms exceeds smt %.1f ms + 10%%\n"
+            name k hyb_ms smt_ms;
+          exit 1
+        end)
+      !rows;
     if !g_smt < floor_ms then
       Printf.printf
         "   (speedup gate skipped: graph-decided SMT total %.1f ms under the %.0f ms floor — \
          agreement and coverage gates still enforced)\n%!"
         !g_smt floor_ms
     else
-      Printf.printf "   smoke OK: verdicts agree, %d graph-decided, hybrid %.2fx\n%!"
-        !graph_decided speedup
+      Printf.printf "   smoke OK: verdicts agree, %d graph-decided, %.2fx (%.2fx all rows)\n%!"
+        !graph_decided speedup all_speedup
   end
 
 (* ---------------- Bechamel micro-benchmarks ---------------- *)

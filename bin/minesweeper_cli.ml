@@ -82,9 +82,9 @@ let verify_cmd =
       & info [ "max-failures" ] ~docv:"K"
           ~doc:
             "With $(b,--property fault-invariance): sweep k = 1..$(docv), one report per k. \
-             Each k races the graph fast path (min-cut over the simulator's converged \
-             forwarding) against the SMT strategy portfolio; the report's $(b,method) field \
-             records which path answered (graph, smt, or fallback).")
+             Each k asks the graph fast path (min-cut over the simulator's converged \
+             forwarding) first and solves the SMT encoding only when it declines; the \
+             report's $(b,method) field records which path answered (graph or fallback).")
   in
   let naive = Arg.(value & flag & info [ "naive" ] ~doc:"Disable the optimizations of \xc2\xa76.") in
   let slice =
@@ -233,9 +233,14 @@ let verify_cmd =
            (count (is "timeout")) (count (is "error")));
       exit code
     in
-    (* fault-invariance sweeps build their own two-copy encodings per k
-       and race the graph fast path inside the portfolio, so they skip
-       the shared-encoding pipeline below *)
+    (* fault-invariance sweeps ask the graph fast path first and build
+       their own two-copy encodings per k only when it declines, so they
+       skip the shared-encoding pipeline below *)
+    let refuse_lint errs =
+      prerr_endline "configuration has lint errors; not encoding:";
+      prerr_string (Analysis.Diagnostic.render_text errs);
+      exit 2
+    in
     (match property with
      | `Fault ->
        if batch <> None then begin
@@ -264,7 +269,9 @@ let verify_cmd =
          | None -> [ (match failures with Some k -> max k 0 | None -> 1) ]
        in
        let t0 = Unix.gettimeofday () in
-       finish t0 (List.map (fun k -> Faults.hybrid ?timeout net opts ~k ~sources dest) ks)
+       finish t0
+         (try List.map (fun k -> Faults.hybrid ?timeout net opts ~k ~sources dest) ks
+          with Analysis.Lint.Lint_errors errs -> refuse_lint errs)
      | _ -> ());
     let symmetry =
       if symmetry && (match batch with Some names -> List.mem "all-pairs" names | None -> false)
@@ -285,10 +292,7 @@ let verify_cmd =
     in
     let enc =
       try MS.Encode.build ~pins net opts with
-      | Analysis.Lint.Lint_errors errs ->
-        prerr_endline "configuration has lint errors; not encoding:";
-        prerr_string (Analysis.Diagnostic.render_text errs);
-        exit 2
+      | Analysis.Lint.Lint_errors errs -> refuse_lint errs
     in
     if symmetry then begin
       match MS.Encode.sym_classes enc with

@@ -558,10 +558,8 @@ let equivalent ?timeout net1 net2 opts =
   two_copy_check ?timeout ~label:"equivalent" enc1 enc2 ~extra_assumptions:[]
     ~goal:(T.and_ (fwd_equal @ exports_equal))
 
-let fault_invariant_query ?timeout ?label net opts ~k ~sources dest =
-  let label =
-    match label with Some l -> l | None -> Printf.sprintf "fault-invariant k=%d" k
-  in
+let fault_invariant ?timeout net opts ~k ~sources dest =
+  let label = Printf.sprintf "fault-invariant k=%d" k in
   (* same two-copy argument as [equivalent]; the failure copy would bail
      out anyway ([max_failures] disables the reduction) but the healthy
      copy must match it device-for-device *)
@@ -585,11 +583,7 @@ let fault_invariant_query ?timeout ?label net opts ~k ~sources dest =
       goal;
     }
   in
-  (enc1, Query.of_property ?timeout label prop)
-
-let fault_invariant ?timeout ?label net opts ~k ~sources dest =
-  let enc1, q = fault_invariant_query ?timeout ?label net opts ~k ~sources dest in
-  let r = run_query enc1 q in
+  let r = run_query enc1 (Query.of_property ?timeout label prop) in
   { r with Report.method_ = Some Report.Smt }
 
 (* -- the versioned serve protocol ------------------------------------------- *)

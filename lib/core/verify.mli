@@ -63,9 +63,11 @@ module Report : sig
 
   (** Which path of the fault-invariance workload produced the verdict:
       [Graph] the {!Faults} min-cut fast path over the simulator's
-      converged routes, [Smt] the full two-copy encoding, [Fallback]
-      the SMT encoding reached after the graph path declined to
-      decide.  Absent on queries outside the fault workload. *)
+      converged routes; [Smt] answered by {!fault_invariant} directly;
+      [Fallback] the same two-copy SMT encoding, reached because the
+      graph tier declined.  [Faults.hybrid] stamps only [Graph] or
+      [Fallback], never [Smt].  Absent on queries outside the fault
+      workload. *)
   type meth = Graph | Smt | Fallback
 
   type t = {
@@ -220,7 +222,6 @@ val equivalent : ?timeout:float -> Config.Ast.network -> Config.Ast.network -> O
 
 val fault_invariant :
   ?timeout:float ->
-  ?label:string ->
   Config.Ast.network ->
   Options.t ->
   k:int ->
@@ -231,22 +232,8 @@ val fault_invariant :
     each source is identical between a failure-free copy and a copy
     with up to [k] failures of internal links (cardinality-bounded
     per-link failure variables; a [Violated] counterexample's
-    [failures] field names the failed-link set).  [label] defaults to
-    ["fault-invariant k=<k>"]; the report is stamped [method_ = Smt]. *)
-
-val fault_invariant_query :
-  ?timeout:float ->
-  ?label:string ->
-  Config.Ast.network ->
-  Options.t ->
-  k:int ->
-  sources:string list ->
-  Property.destination ->
-  Encode.t * Query.t
-(** The two-copy encoding and query behind {!fault_invariant}, exposed
-    so other paths (the {!Engine} portfolio, the {!Faults} hybrid) can
-    answer the same property on their own solvers: run the query
-    against the returned healthy-copy encoding. *)
+    [failures] field names the failed-link set).  The report is
+    labelled ["fault-invariant k=<k>"] and stamped [method_ = Smt]. *)
 
 (** The versioned line-JSON protocol of the serve daemon
     ([minesweeper_cli serve], the {!Serve} library).

@@ -384,13 +384,10 @@ let run ?jobs ?timeout ?support enc queries =
 
 (* -- portfolio: race strategies on one query, first decisive answer wins --- *)
 
-let portfolio ?timeout ?(strategies = Minesweeper.Options.portfolio) ?(share = true)
-    ?(extra = []) enc q =
-  if strategies = [] && extra = [] then
-    invalid_arg "Engine.portfolio: empty strategy list";
+let portfolio ?timeout ?(strategies = Minesweeper.Options.portfolio) ?(share = true) enc q =
+  if strategies = [] then invalid_arg "Engine.portfolio: empty strategy list";
   let q = Query.with_default_timeout timeout q in
   let racers = Array.of_list strategies in
-  let n_strat = Array.length racers in
   let started = Unix.gettimeofday () in
   (* Rebroadcasting to a racer that just won (and exited) must not kill
      the parent with SIGPIPE; restore the handler on the way out. *)
@@ -425,63 +422,6 @@ let portfolio ?timeout ?(strategies = Minesweeper.Options.portfolio) ?(share = t
           (pid, r, iw, Buffer.create 512, ref true (* alive *)))
       racers
   in
-  (* Non-solver racers (e.g. the lib/faults graph fast path): one
-     process per thunk, reporting a single [Finished] like any other
-     racer.  An indecisive thunk returns [Error]/[Timeout], which lands
-     in [fallback] and lets a solver racer win — exactly the
-     fall-back-to-SMT semantics.  The import pipe exists only so the
-     tuple matches the solver racers; its read end is closed at birth
-     and rebroadcasts to it are dropped on EPIPE. *)
-  let extra_procs =
-    Array.of_list extra
-    |> Array.mapi (fun i ((name : string), (thunk : unit -> Report.t)) ->
-           let r, w = Unix.pipe () in
-           let ir, iw = Unix.pipe () in
-           Unix.set_nonblock iw;
-           let sibling_fds = !fds in
-           flush stdout;
-           flush stderr;
-           match Unix.fork () with
-           | 0 ->
-             Unix.close r;
-             Unix.close iw;
-             Unix.close ir;
-             List.iter (fun fd -> try Unix.close fd with _ -> ()) sibling_fds;
-             (try
-                let rep =
-                  try thunk ()
-                  with e ->
-                    {
-                      Report.label = q.Query.label;
-                      verdict = Report.Error (Printexc.to_string e);
-                      certificate = Report.Uncertified;
-                      wall_ms = 0.0;
-                      stats = Report.empty_stats;
-                      worker = 0;
-                      strategy = None;
-                      support = None;
-                      replayed = false;
-                      method_ = None;
-                    }
-                in
-                write_msg w
-                  (Finished
-                     ( 0,
-                       {
-                         rep with
-                         Report.worker = n_strat + i + 1;
-                         strategy = Some name;
-                       } ))
-              with _ -> ());
-             (try Unix.close w with _ -> ());
-             Unix._exit 0
-           | pid ->
-             Unix.close w;
-             Unix.close ir;
-             fds := r :: iw :: !fds;
-             (pid, r, iw, Buffer.create 512, ref true))
-  in
-  let procs = Array.append procs extra_procs in
   let winner = ref None in
   let fallback = ref None in
   let note (r : Report.t) =

@@ -61,7 +61,6 @@ val portfolio :
   ?timeout:float ->
   ?strategies:(string * Smt.Solver.strategy) list ->
   ?share:bool ->
-  ?extra:(string * (unit -> Verify.Report.t)) list ->
   Minesweeper.Encode.t ->
   Verify.Query.t ->
   Verify.Report.t
@@ -72,18 +71,6 @@ val portfolio :
     Every strategy is sound and complete, so any winner's verdict is
     the query's verdict.  If no racer is decisive (all time out, crash
     or error), the first-completed indecisive report is returned.
-
-    [extra] racers are non-solver methods raced alongside the strategy
-    processes — one forked process per [(name, thunk)], the thunk's
-    report treated like any racer's ([strategy] is set to [name], the
-    [worker] field counts after the strategy racers).  The fault
-    workload races the {!Faults} graph fast path this way: a thunk
-    that cannot decide returns an [Error]/[Timeout] report, which can
-    never win over a decisive solver racer — the race itself encodes
-    the fall-back-to-SMT semantics.  The caller must ensure each
-    thunk's decisive verdicts agree with the query's SMT semantics
-    (the differential suite and [bench fault] gate this for the graph
-    path).
 
     [share] (default [true]) turns the race into a cooperating
     portfolio: each racer exports its low-LBD (glue) learnt clauses at

@@ -16,7 +16,7 @@
 module A = Config.Ast
 module Verify = Minesweeper.Verify
 module Report = Minesweeper.Verify.Report
-module Query = Minesweeper.Verify.Query
+module Options = Minesweeper.Options
 module Property = Minesweeper.Property
 module Counterexample = Minesweeper.Counterexample
 module Topo = Net.Topology
@@ -392,10 +392,8 @@ let analyze (net : A.network) ~k ~sources dest =
 
 (* -- Report surface --------------------------------------------------------- *)
 
-let report ?label (net : A.network) ~k ~sources dest =
-  let label =
-    match label with Some l -> l | None -> Printf.sprintf "fault-invariant k=%d" k
-  in
+let report (net : A.network) ~k ~sources dest =
+  let label = Printf.sprintf "fault-invariant k=%d" k in
   let t0 = Unix.gettimeofday () in
   let finish verdict =
     {
@@ -449,24 +447,20 @@ let report ?label (net : A.network) ~k ~sources dest =
     in
     finish (Report.Violated cx)
 
-(* -- hybrid: race the two paths inside the portfolio ------------------------ *)
+(* -- hybrid: graph tier first, SMT only for the residual ------------------- *)
 
-let hybrid ?timeout ?strategies ?share (net : A.network) opts ~k ~sources dest =
-  let enc, q = Verify.fault_invariant_query ?timeout net opts ~k ~sources dest in
-  let label = q.Query.label in
-  let graph () = report ~label net ~k ~sources dest in
-  let r =
-    Engine.portfolio ?timeout ?strategies ?share ~extra:[ ("graph", graph) ] enc q
-  in
-  match r.Report.method_ with
-  | Some Report.Graph -> r
-  | _ ->
-    (* an SMT racer answered: distinguish "graph lost the race" from
-       "graph declined" for the method stamp (the scan is cheap; the
-       simulator only runs when the scan passes, i.e. rarely here) *)
-    let m =
-      match analyze net ~k ~sources dest with
-      | Undecided _ -> Report.Fallback
-      | Invariant | Broken _ -> Report.Smt
-    in
-    { r with Report.method_ = Some m }
+let hybrid ?timeout (net : A.network) opts ~k ~sources dest =
+  (* the same pre-flight the encoder runs: a misconfigured network gets
+     no verdict from either tier *)
+  if opts.Options.preflight_lint then Analysis.Lint.preflight net;
+  let g = report net ~k ~sources dest in
+  match g.Report.verdict with
+  | Report.Verified | Report.Violated _ -> g
+  | Report.Timeout | Report.Error _ ->
+    let timeout = Option.map (fun t -> Float.max 0.0 (t -. (g.Report.wall_ms /. 1e3))) timeout in
+    let r = Verify.fault_invariant ?timeout net opts ~k ~sources dest in
+    {
+      r with
+      Report.wall_ms = g.Report.wall_ms +. r.Report.wall_ms;
+      method_ = Some Report.Fallback;
+    }

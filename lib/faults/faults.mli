@@ -16,8 +16,8 @@
     cross-checked hop-for-hop against the {!Routing} simulator's
     converged forwarding.  Whenever any condition fails it returns
     {!answer.Undecided} and the caller falls back to the SMT encoding —
-    {!hybrid} races both paths inside {!Engine.portfolio} and stamps
-    the winning report's [method_] field ([Graph] / [Smt] /
+    {!hybrid} asks the graph tier first, solves in-process only when it
+    declines, and stamps the report's [method_] field ([Graph] /
     [Fallback]).  Differential agreement between the two paths is the
     correctness gate for the whole feature ([test/test_faults.ml],
     [make bench-fault-smoke]).
@@ -93,7 +93,6 @@ val analyze :
     healthy are invariantly unreachable and skipped. *)
 
 val report :
-  ?label:string ->
   Config.Ast.network ->
   k:int ->
   sources:string list ->
@@ -104,25 +103,28 @@ val report :
     counterexample whose [failures] field is the cut set (packet
     addressed into the destination subnet, source address taken from
     the cut source's own subnets); [Undecided r] ⇒
-    [Error "graph-undecided: r"] — indecisive by construction, so it
-    can never win a portfolio race over a decisive SMT verdict.
-    [label] defaults to ["fault-invariant k=<k>"]. *)
+    [Error "graph-undecided: r"] — indecisive by construction, the
+    signal for {!hybrid} to fall back to SMT.  A report from this
+    function ran no solver: its [stats] are {!Report.empty_stats}.
+    The report is labelled ["fault-invariant k=<k>"], as
+    {!Minesweeper.Verify.fault_invariant} labels its own. *)
 
 val hybrid :
   ?timeout:float ->
-  ?strategies:(string * Smt.Solver.strategy) list ->
-  ?share:bool ->
   Config.Ast.network ->
   Minesweeper.Options.t ->
   k:int ->
   sources:string list ->
   Minesweeper.Property.destination ->
   Report.t
-(** Race the graph fast path against the SMT two-copy encoding inside
-    {!Engine.portfolio}: one process per solver strategy (default
-    {!Minesweeper.Options.portfolio}) plus one [extra] racer running
-    {!report}.  The first decisive answer wins; an undecided graph
-    racer simply never produces one.  The winner's [method_] is
-    [Graph] when the graph racer won, [Smt] when a solver racer beat a
-    decided graph path, and [Fallback] when the graph path could not
-    decide. *)
+(** Graph tier first, SMT only for the residual, all in-process.  When
+    [opts.preflight_lint] is set, run the encoder's lint pre-flight
+    first.  Then run {!report}; if it is decisive, return it
+    ([method_ = Graph]).  Otherwise call
+    {!Minesweeper.Verify.fault_invariant} with what is left of
+    [timeout] and stamp the result [Fallback] (never [Smt]); its
+    [wall_ms] includes the graph attempt.  The solver's stop hook
+    enforces [timeout], so it bounds only the SMT search, not the lint,
+    the graph tier or the encoding.  [Options.certify] applies to the
+    fallback solve only; a graph-decided report stays [Uncertified].
+    @raise Analysis.Lint.Lint_errors when the pre-flight finds errors. *)

@@ -3,7 +3,7 @@
    sizes, graph-vs-SMT verdict agreement on fat trees and enterprise
    networks, counterexample cut sets replayed through the concrete
    simulator with those links removed, and method stamping through the
-   hybrid race. *)
+   graph-first hybrid. *)
 
 module A = Config.Ast
 module MS = Minesweeper
@@ -36,6 +36,20 @@ let meth (r : MS.Verify.Report.t) =
   match r.MS.Verify.Report.method_ with
   | Some m -> MS.Verify.Report.method_name m
   | None -> "unstamped"
+
+(* A graph-decided report ran no solver: its stats are the empty
+   record, which a fallback SMT solve could never leave behind. *)
+let check_graph_decided what (r : MS.Verify.Report.t) =
+  Alcotest.(check string) (what ^ " method") "graph" (meth r);
+  Alcotest.(check bool) (what ^ " ran no SMT") true
+    (r.MS.Verify.Report.stats = MS.Verify.Report.empty_stats)
+
+let check_certified what (r : MS.Verify.Report.t) =
+  match r.MS.Verify.Report.certificate with
+  | MS.Verify.Report.Checked_unsat_proof _ | MS.Verify.Report.Checked_model -> ()
+  | MS.Verify.Report.Uncertified -> Alcotest.failf "%s verdict left uncertified" what
+  | MS.Verify.Report.Certification_failed m ->
+    Alcotest.failf "%s certification failed: %s" what m
 
 let smt net ~k ~sources dest = MS.Verify.fault_invariant net MS.Options.default ~k ~sources dest
 
@@ -180,39 +194,68 @@ let test_certified_fault_invariant () =
   let check k expect =
     let r = MS.Verify.fault_invariant net opts ~k ~sources dest in
     Alcotest.(check string) (Printf.sprintf "k=%d verdict" k) expect (verdict r);
-    match r.MS.Verify.Report.certificate with
-    | MS.Verify.Report.Checked_unsat_proof _ | MS.Verify.Report.Checked_model -> ()
-    | MS.Verify.Report.Uncertified -> Alcotest.failf "k=%d verdict left uncertified" k
-    | MS.Verify.Report.Certification_failed m ->
-      Alcotest.failf "k=%d certification failed: %s" k m
+    check_certified (Printf.sprintf "k=%d" k) r
   in
   check 0 "verified";
   check 1 "violated"
 
-(* -- hybrid race and method stamping ------------------------------------------- *)
+(* -- graph-first hybrid and method stamping ------------------------------------- *)
 
-let test_hybrid_graph_win () =
+let test_hybrid_graph_first () =
   let net, _, dest = fattree 2 in
   let sources = devices net in
   let h = hybrid net ~k:1 ~sources dest in
   Alcotest.(check string) "verdict" "violated" (verdict h);
-  Alcotest.(check string) "method" "graph" (meth h);
+  check_graph_decided "pods=2 k=1" h;
   match h.MS.Verify.Report.verdict with
   | MS.Verify.Report.Violated cx ->
     Alcotest.(check int) "a single failed link" 1 (List.length cx.MS.Counterexample.failures)
   | _ -> Alcotest.fail "expected a violation"
 
 let test_hybrid_pods6 () =
-  (* the fabric the SMT side cannot answer quickly: the race must come
-     back decided by the graph, on both sides of the threshold *)
+  (* the fabric the SMT side cannot answer quickly: the graph tier must
+     decide on both sides of the threshold, with no solver run *)
   let net, _, dest = fattree 6 in
   let sources = devices net in
   let h2 = hybrid net ~k:2 ~sources dest in
   Alcotest.(check string) "pods=6 k=2 verdict" "verified" (verdict h2);
-  Alcotest.(check string) "pods=6 k=2 method" "graph" (meth h2);
+  check_graph_decided "pods=6 k=2" h2;
   let h3 = hybrid net ~k:3 ~sources dest in
   Alcotest.(check string) "pods=6 k=3 verdict" "violated" (verdict h3);
-  Alcotest.(check string) "pods=6 k=3 method" "graph" (meth h3)
+  check_graph_decided "pods=6 k=3" h3
+
+let test_hybrid_certified_fallback () =
+  (* the graph tier declines the OSPF enterprise, so --certify must
+     reach the in-process SMT solve and certify its counterexample *)
+  let net, dest = single_homed_enterprise () in
+  let opts = MS.Options.with_certify MS.Options.default in
+  let h = F.hybrid net opts ~k:1 ~sources:(devices net) dest in
+  Alcotest.(check string) "verdict" "violated" (verdict h);
+  Alcotest.(check string) "method" "fallback" (meth h);
+  check_certified "fallback" h
+
+let test_hybrid_lint_preflight () =
+  (* one session whose remote-as names the wrong ASN (MS-E301): neither
+     tier may answer for a network the encoder would refuse *)
+  let net, _, dest = fattree 2 in
+  let net =
+    match net.A.net_devices with
+    | ({ A.dev_bgp = Some b; _ } as d) :: rest ->
+      let n = List.hd b.A.bgp_neighbors in
+      let n = { n with A.nbr_remote_as = n.A.nbr_remote_as + 1000 } in
+      let b = { b with A.bgp_neighbors = n :: List.tl b.A.bgp_neighbors } in
+      { net with A.net_devices = { d with A.dev_bgp = Some b } :: rest }
+    | _ -> Alcotest.fail "expected a BGP speaker first"
+  in
+  let sources = devices net in
+  (match hybrid net ~k:1 ~sources dest with
+   | exception Analysis.Lint.Lint_errors errs ->
+     let e301 (d : Analysis.Diagnostic.t) = d.Analysis.Diagnostic.code = "MS-E301" in
+     Alcotest.(check bool) "MS-E301 among the findings" true (List.exists e301 errs)
+   | r -> Alcotest.failf "expected Lint_errors, got %s [%s]" (verdict r) (meth r));
+  (* with the pre-flight off, as under --no-lint, the graph tier answers *)
+  let opts = { MS.Options.default with MS.Options.preflight_lint = false } in
+  check_graph_decided "--no-lint" (F.hybrid net opts ~k:1 ~sources dest)
 
 let () =
   Alcotest.run "faults"
@@ -243,7 +286,9 @@ let () =
         ] );
       ( "hybrid",
         [
-          Alcotest.test_case "graph wins the race" `Quick test_hybrid_graph_win;
+          Alcotest.test_case "graph tier decides first" `Quick test_hybrid_graph_first;
           Alcotest.test_case "pods=6 both thresholds" `Quick test_hybrid_pods6;
+          Alcotest.test_case "certified fallback" `Quick test_hybrid_certified_fallback;
+          Alcotest.test_case "lint errors refuse both tiers" `Quick test_hybrid_lint_preflight;
         ] );
     ]

@@ -278,25 +278,29 @@ let prop_fault_brute =
                  healthy
           in
           let oracle_broken = List.exists broken_by (subsets_leq k (canonical_pairs net)) in
-          (match r.MS.Verify.Report.verdict with
-           | MS.Verify.Report.Verified ->
-             (* Verified quantifies over every environment and failure
-                set, so the concrete enumeration must find nothing *)
-             if oracle_broken then
-               QCheck.Test.fail_reportf
-                 "%s: SMT says invariant, brute-force enumeration breaks it" label
-           | MS.Verify.Report.Violated _ ->
-             (* the SMT counterexample may use an adversarial routing
-                environment; only graph-eligible networks pin verdicts
-                to pure connectivity, where the empty-environment
-                enumeration is exact *)
-             if (not oracle_broken) && Result.is_ok (Faults.eligible net dest) then
-               QCheck.Test.fail_reportf
-                 "%s: SMT says broken on a graph-eligible net, enumeration of all <=%d-subsets \
-                  disagrees"
-                 label k
-           | MS.Verify.Report.Timeout | MS.Verify.Report.Error _ ->
-             QCheck.Test.fail_reportf "%s: query timed out or errored" label);
+          let check_engine engine (r : MS.Verify.Report.t) =
+            match r.MS.Verify.Report.verdict with
+            | MS.Verify.Report.Verified ->
+              (* Verified quantifies over every environment and failure
+                 set, so the concrete enumeration must find nothing *)
+              if oracle_broken then
+                QCheck.Test.fail_reportf
+                  "%s: %s says invariant, brute-force enumeration breaks it" label engine
+            | MS.Verify.Report.Violated _ ->
+              (* the SMT counterexample may use an adversarial routing
+                 environment; only graph-eligible networks pin verdicts
+                 to pure connectivity, where the empty-environment
+                 enumeration is exact *)
+              if (not oracle_broken) && Result.is_ok (Faults.eligible net dest) then
+                QCheck.Test.fail_reportf
+                  "%s: %s says broken on a graph-eligible net, enumeration of all <=%d-subsets \
+                   disagrees"
+                  label engine k
+            | MS.Verify.Report.Timeout | MS.Verify.Report.Error _ ->
+              QCheck.Test.fail_reportf "%s: %s timed out or errored" label engine
+          in
+          check_engine "SMT" r;
+          check_engine "hybrid" (Faults.hybrid net MS.Options.default ~k ~sources dest);
           (* the graph fast path, when it decides, must match the oracle *)
           (match Faults.analyze net ~k ~sources dest with
            | Faults.Invariant ->
