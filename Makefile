@@ -17,13 +17,11 @@
 # against the uncertified pass), and the symmetry-scale smoke
 # benchmark (the quotient encoding must agree with the full encoding
 # on every fat-tree point both modes ran — as must Ema_lbd vs Luby
-# restarts and the clause-sharing portfolio vs the sharing-off race —
-# with the speedup gated above a noise floor only where symmetry
-# classes actually collapse devices; clause sharing must demonstrably
-# fire on the full encoding, the winner importing at least one
-# clause; full-mode points past the wall-clock budget are skipped
-# with an explicit label, mirroring the parallel bench's
-# skipped_low_cores convention), and the arena smoke benchmark (the
+# restarts, on the quotient and on the full encoding — with the
+# speedup gated above a noise floor only where symmetry classes
+# actually collapse devices; full-mode points past the wall-clock
+# budget are skipped with an explicit label, mirroring the parallel
+# bench's skipped_low_cores convention), and the arena smoke benchmark (the
 # SAT core's steady-state propagation loop must allocate ~0 minor
 # words per propagation, all-off and all-on must agree on the hardest
 # query with all-on at least 2x faster above a noise floor, and the

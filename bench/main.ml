@@ -13,8 +13,7 @@
                  (--smoke: subsampled, exits 1 if the session path is
                  not faster or any verdict diverges)
      parallel    process-pool sharding of the fig7 suite (plus an
-                 all-pairs fan-out) at -j1/-j2/-j4 and a strategy
-                 portfolio on the hardest query; writes
+                 all-pairs fan-out) at -j1/-j2/-j4; writes
                  BENCH_parallel.json.  Verdict agreement with the
                  sequential session is always gated; wall-clock
                  speedup is gated only when the machine actually has
@@ -44,15 +43,14 @@
                  checkpoints each completed point to
                  BENCH_scale.rows.jsonl, restored by --resume.
                  Verdict agreement (quotient vs full, Ema_lbd vs Luby
-                 restarts, clause sharing vs off) is gated on every
-                 completed point; once one full-mode point blows the
-                 wall-clock budget the remaining full points are
-                 skipped with an explicit label (the quotient points
-                 always run to 405 routers).  The quotient ratio is a
-                 gated speedup only where classes actually collapse
-                 devices, and labelled overhead elsewhere; --smoke
-                 additionally gates clause sharing firing on the full
-                 encoding
+                 restarts) is gated on every completed point; once one
+                 full-mode point blows the wall-clock budget the
+                 remaining full points are skipped with an explicit
+                 label (the quotient points always run to 405
+                 routers).  The quotient ratio is a gated speedup only
+                 where classes actually collapse devices, and labelled
+                 overhead elsewhere; --smoke additionally gates Luby vs
+                 adaptive-restart agreement on the full encoding
      arena       memory behavior of the arena SAT core: steady-state
                  minor-heap allocation per propagation on a long
                  implication chain, hardest-query all-off/all-on
@@ -548,24 +546,6 @@ let parallel ~smoke () =
         (jobs, ms, agree))
       job_counts
   in
-  (* Portfolio: race the strategy variants on the hardest query of the
-     sequential run. *)
-  let hardest_q, hardest_r =
-    List.fold_left
-      (fun ((_, (br : MS.Verify.Report.t)) as best) ((_, (r : MS.Verify.Report.t)) as cur) ->
-        if r.MS.Verify.Report.wall_ms > br.MS.Verify.Report.wall_ms then cur else best)
-      (List.hd (List.combine queries seq_reports))
-      (List.combine queries seq_reports)
-  in
-  let port_report, port_ms = time (fun () -> Engine.portfolio enc hardest_q) in
-  let port_agree =
-    MS.Verify.Report.verdict_name port_report.MS.Verify.Report.verdict
-    = MS.Verify.Report.verdict_name hardest_r.MS.Verify.Report.verdict
-  in
-  Printf.printf "   portfolio on %-20s %8.1f ms  winner %s%s\n%!"
-    port_report.MS.Verify.Report.label port_ms
-    (match port_report.MS.Verify.Report.strategy with Some s -> s | None -> "-")
-    (if port_agree then "" else "  !! verdict diverges from -j1");
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"schema\": 2,\n";
   Buffer.add_string buf
@@ -593,21 +573,13 @@ let parallel ~smoke () =
     runs;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
-    (Printf.sprintf
-       "  \"portfolio\": { \"label\": \"%s\", \"ms\": %.2f, \"winner\": \"%s\", \
-        \"verdicts_agree\": %b },\n"
-       (MS.Verify.Report.json_escape port_report.MS.Verify.Report.label)
-       port_ms
-       (match port_report.MS.Verify.Report.strategy with Some s -> s | None -> "")
-       port_agree);
-  Buffer.add_string buf
     (Printf.sprintf "  \"reports\": %s\n" (MS.Verify.Report.list_to_json seq_reports));
   Buffer.add_string buf "}\n";
   let oc = open_out "BENCH_parallel.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
   print_endline "   wrote BENCH_parallel.json";
-  let all_agree = port_agree && List.for_all (fun (_, _, a) -> a) runs in
+  let all_agree = List.for_all (fun (_, _, a) -> a) runs in
   if not all_agree then begin
     prerr_endline "bench parallel: verdict divergence between parallel and sequential runs";
     exit 1
@@ -1088,9 +1060,8 @@ let certify_bench ~smoke () =
    sweep killed at pods=14 does not re-earn pods=10.
 
    Gates.  Verdict agreement is required on every completed point, in
-   three directions: quotient vs full, Ema_lbd vs Luby restarts (on
-   the point's quotient instance), and the clause-sharing portfolio vs
-   the sharing-off race (ditto).  The quotient-vs-full ratio is
+   two directions: quotient vs full, and Ema_lbd vs Luby restarts (on
+   the point's quotient instance).  The quotient-vs-full ratio is
    labelled "speedup" only where the quotient actually collapsed
    devices; at pods=2 a pinned destination leaves every class a
    singleton, the quotient is pure bookkeeping, and the ratio is
@@ -1099,10 +1070,7 @@ let certify_bench ~smoke () =
    AND the reduction is real, above a noise floor.  --smoke
    additionally exercises the new solver machinery end-to-end on the
    full (non-quotient) encoding: a fresh Luby-restart solve must agree
-   with the session's adaptive-restart verdict at every smoke point,
-   and at the largest smoke point the clause-sharing portfolio's
-   winner must report clauses_imported > 0 and agree with the
-   session. *)
+   with the session's adaptive-restart verdict at every smoke point. *)
 
 type scale_row = {
   sr_pods : int;
@@ -1231,10 +1199,7 @@ let scale ~smoke ~resume () =
   (* smoke-only end-to-end checks of the new solver machinery on the
      full (non-quotient) encoding *)
   let smoke_luby_agree = ref true in
-  let smoke_share_imported = ref 0 in
-  let smoke_share_agree = ref true in
   let quote = Msutil.Json.quote in
-  let largest_size = List.fold_left max 0 sizes in
   let measure pods =
     let ft = G.Fattree.make ~pods in
     let net = ft.G.Fattree.network in
@@ -1302,26 +1267,12 @@ let scale ~smoke ~resume () =
       quotient_verdict_under { dstrat with Smt.Solver.restart_mode = Smt.Solver.Ema_lbd }
     in
     let modes_agree = v_luby = v_ema && v_luby = List.assoc dst0 on_verdicts in
-    (* sharing agreement on the same instance: the clause-sharing
-       portfolio and the sharing-off race against the sequential
-       verdict *)
-    let q0 =
-      MS.Verify.Query.v "all-tor"
-        (fun enc ->
-          MS.Property.reachability enc
-            ~sources:(MS.Encode.project_devices enc (srcs_of dst0))
-            (dest_of dst0))
-    in
+    if not modes_agree then
+      Printf.printf "   pods=%-2d !! quotient cross-checks diverge (luby %s, ema %s)\n%!" pods
+        v_luby v_ema;
     let verdict_of (r : MS.Verify.Report.t) =
       MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict
     in
-    let v_share = verdict_of (Engine.portfolio ~share:true enc_on0 q0) in
-    let v_solo = verdict_of (Engine.portfolio ~share:false enc_on0 q0) in
-    let share_agree = v_share = v_solo && v_share = List.assoc dst0 on_verdicts in
-    if not (modes_agree && share_agree) then
-      Printf.printf
-        "   pods=%-2d !! quotient cross-checks diverge (luby %s, ema %s, share %s, solo %s)\n%!"
-        pods v_luby v_ema v_share v_solo;
     (* -- full side: one incremental session answers the whole set -- *)
     let off =
       if !off_exhausted then begin
@@ -1377,30 +1328,7 @@ let scale ~smoke ~resume () =
               (MS.Property.reachability enc_luby ~sources:(srcs_of dst0) (dest_of dst0))
           in
           if outcome_str o_luby <> List.assoc dst0 off_verdicts then
-            smoke_luby_agree := false;
-          (* clause sharing must actually fire on a conflict-heavy full
-             encoding: race a diverse strategy subset on the largest
-             smoke point and require the winner to have imported *)
-          if pods = largest_size then begin
-            let strats =
-              List.filteri (fun i _ -> i = 0 || i = 1 || i = 2 || i = 6) MS.Options.portfolio
-            in
-            let q =
-              MS.Verify.Query.v "all-tor-share"
-                (fun enc ->
-                  MS.Property.reachability enc ~sources:(srcs_of dst0) (dest_of dst0))
-            in
-            let attempts = 3 in
-            let rec go i =
-              let r = Engine.portfolio ~strategies:strats ~share:true enc_off q in
-              let imported = r.MS.Verify.Report.stats.Smt.Solver.clauses_imported in
-              if verdict_of r <> List.assoc dst0 off_verdicts then
-                smoke_share_agree := false;
-              if imported > 0 then smoke_share_imported := imported
-              else if i < attempts then go (i + 1)
-            in
-            go 1
-          end
+            smoke_luby_agree := false
         end;
         Some (off_encode_ms, reports, cold, warm, off_total, off_verdict, full_agree, off_pps)
       end
@@ -1420,9 +1348,6 @@ let scale ~smoke ~resume () =
       | None -> ("{ \"status\": \"skipped_off_budget\" }", "", false, 0.0, 0.0, true)
       | Some (enc_ms, reports, cold, warm, total, verdict, full_agree, off_pps) ->
         let wall (r : MS.Verify.Report.t) = r.MS.Verify.Report.wall_ms in
-        let verdict_of (r : MS.Verify.Report.t) =
-          MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict
-        in
         let qjson =
           String.concat ", "
             (List.mapi
@@ -1453,9 +1378,9 @@ let scale ~smoke ~resume () =
          \"solve_ms\": %.2f, \"total_ms\": %.2f, \"verdict\": %s, \"devices_encoded\": %d, \
          \"classes\": %d, \"propagations_per_sec\": %.0f, \"queries\": [ %s ] },\n      \
          \"symmetry_off\": %s,\n      \"agreement\": { \"quotient_vs_full\": %b, \
-         \"ema_vs_luby\": %b, \"share_vs_solo\": %b }%s }"
+         \"ema_vs_luby\": %b }%s }"
         pods routers on_encode_ms on_solve_ms on_total (quote on_verdict) q_devices classes
-        on_pps on_queries_json off_json full_agree modes_agree share_agree ratio_part
+        on_pps on_queries_json off_json full_agree modes_agree ratio_part
     in
     let ratio, ratio_kind =
       if not has_off then (0.0, "n/a")
@@ -1466,7 +1391,7 @@ let scale ~smoke ~resume () =
       sr_pods = pods;
       sr_routers = routers;
       sr_reduced = reduced;
-      sr_agree = modes_agree && share_agree && full_agree;
+      sr_agree = modes_agree && full_agree;
       sr_has_off = has_off;
       sr_ratio = ratio;
       sr_ratio_kind = ratio_kind;
@@ -1500,7 +1425,7 @@ let scale ~smoke ~resume () =
   print_endline "   wrote BENCH_scale.json";
   if not agree_everywhere then begin
     prerr_endline
-      "bench scale: verdict divergence (quotient vs full, restart modes, or clause sharing)";
+      "bench scale: verdict divergence (quotient vs full, or restart modes)";
     exit 1
   end;
   (* the ratio is only signal when the full-mode point is slow enough
@@ -1539,20 +1464,7 @@ let scale ~smoke ~resume () =
         "bench-scale-smoke: Luby vs adaptive-restart verdict divergence on the full encoding";
       exit 1
     end;
-    if not !smoke_share_agree then begin
-      prerr_endline "bench-scale-smoke: clause-sharing portfolio verdict divergence";
-      exit 1
-    end;
-    if !smoke_share_imported = 0 then begin
-      prerr_endline
-        "bench-scale-smoke: clause sharing never fired (winner imported 0 clauses in 3 \
-         attempts)";
-      exit 1
-    end;
-    Printf.printf
-      "   smoke OK: restart modes agree on the full encoding; sharing fired (winner \
-       imported %d clauses)\n%!"
-      !smoke_share_imported
+    print_endline "   smoke OK: restart modes agree on the full encoding"
   end
 
 (* ---------------- arena memory behavior ---------------- *)

@@ -127,15 +127,6 @@ let verify_cmd =
             "Per-query wall-clock budget. A query past its budget is cancelled and reported \
              as $(b,timeout) (exit status 3); the remaining queries still run.")
   in
-  let portfolio =
-    Arg.(
-      value & flag
-      & info [ "portfolio" ]
-          ~doc:
-            "Race the solver-strategy portfolio (restart cadence, activity decay, branching \
-             polarity variants) on each query, one process per strategy, and keep the first \
-             decisive answer. Useful for one hard query; ignores $(b,--jobs).")
-  in
   let format =
     Arg.(
       value
@@ -169,7 +160,7 @@ let verify_cmd =
              must stay concrete.")
   in
   let run file property sources dst_device dst_prefix bound devices max_len failures
-        max_failures naive slice no_lint allowed batch jobs timeout portfolio format certify
+        max_failures naive slice no_lint allowed batch jobs timeout format certify
         symmetry =
     let net = load_network file in
     let opts = opts_of ~slice naive failures in
@@ -198,13 +189,9 @@ let verify_cmd =
                | None -> ""
              in
              let tag =
-               match r.MS.Verify.Report.strategy with
-               | Some s when meth_tag = Printf.sprintf "  [%s]" s -> ""
-               | Some s -> Printf.sprintf "  [%s]" s
-               | None ->
-                 if r.MS.Verify.Report.worker > 0 then
-                   Printf.sprintf "  [w%d]" r.MS.Verify.Report.worker
-                 else ""
+               if r.MS.Verify.Report.worker > 0 then
+                 Printf.sprintf "  [w%d]" r.MS.Verify.Report.worker
+               else ""
              in
              let cert_tag =
                match r.MS.Verify.Report.certificate with
@@ -389,11 +376,7 @@ let verify_cmd =
       exit 2
     end;
     let t0 = Unix.gettimeofday () in
-    let reports =
-      if portfolio then List.map (fun q -> Engine.portfolio ?timeout enc q) queries
-      else Engine.run ~jobs ?timeout enc queries
-    in
-    finish t0 reports
+    finish t0 (Engine.run ~jobs ?timeout enc queries)
   in
   let man =
     [
@@ -411,7 +394,7 @@ let verify_cmd =
     Term.(
       const run $ file_arg $ property $ sources $ dst_device $ dst_prefix $ bound $ devices
       $ max_len $ failures $ max_failures $ naive $ slice $ no_lint $ allowed $ batch $ jobs
-      $ timeout $ portfolio $ format $ certify $ symmetry)
+      $ timeout $ format $ certify $ symmetry)
 
 (* ---- lint ---- *)
 

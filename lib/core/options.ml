@@ -56,8 +56,7 @@ type t = {
   strategy : Smt.Solver.strategy;
       (** SAT search strategy (VSIDS decay, restart cadence, branching
           polarity) used by every solver created for this encoding.
-          Any strategy yields the same verdicts; the portfolio engine
-          races the {!portfolio} variants on one hard query. *)
+          Any strategy yields the same verdicts (see {!portfolio}). *)
   solver_features : Smt.Solver.features;
       (** Solver-throughput optimizations (polarity-aware CNF, level-0
           preprocessing, theory propagation, LBD clause management)
@@ -111,13 +110,11 @@ let with_strategy st t = { t with strategy = st }
 let with_features f t = { t with solver_features = f }
 let with_certify t = { t with certify = true }
 
-(* Named search-strategy variants for portfolio solving: very different
-   restart policies and branching polarities explore the search space in
-   different orders, so racing them on one hard query and keeping the
-   first answer routinely beats any fixed choice.  All variants are
-   sound and complete — only wall time differs.  The list deliberately
-   covers both restart modes and both rephasing settings: with clause
-   sharing on, diversity is what gives the exchanged clauses value. *)
+(* Named search-strategy variants: restart policies and branching
+   polarities that explore the search space in different orders.  All
+   variants are sound and complete, so they must agree on every
+   verdict; the strategy-agreement tests run each one.  The list covers
+   both restart modes and both rephasing settings. *)
 let portfolio : (string * Smt.Solver.strategy) list =
   let d = Smt.Solver.default_strategy in
   [

@@ -68,7 +68,7 @@ module Report = struct
         (* per-query solver work: absolute for a fresh solver, the
            delta over the enclosing session/worker otherwise *)
     worker : int;  (* 0 = in-process; workers of a pool count from 1 *)
-    strategy : string option;  (* winning variant, in portfolio mode *)
+    strategy : string option;  (* named strategy variant; no path sets it *)
     support : string list option;
         (* Verified verdicts from a support-tracking session: the
            devices whose assumption guards appear in the final-conflict
@@ -122,8 +122,6 @@ module Report = struct
       ema_restarts = 0;
       blocked_restarts = 0;
       rephases = 0;
-      clauses_imported = 0;
-      clauses_exported = 0;
       learned_clauses = 0;
       theory_rounds = 0;
       theory_propagations = 0;
@@ -208,12 +206,11 @@ module Report = struct
             (json_escape msg)));
     Buffer.add_string buf
       (Printf.sprintf
-         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"clauses_imported\":%d,\"clauses_exported\":%d,\"theory_propagations\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
+         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"theory_propagations\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
          r.stats.Solver.conflicts r.stats.Solver.decisions r.stats.Solver.propagations
          r.stats.Solver.learned_clauses r.stats.Solver.restarts
          r.stats.Solver.ema_restarts r.stats.Solver.blocked_restarts
-         r.stats.Solver.rephases r.stats.Solver.clauses_imported
-         r.stats.Solver.clauses_exported
+         r.stats.Solver.rephases
          r.stats.Solver.theory_propagations r.stats.Solver.preprocessed_clauses
          r.stats.Solver.lbd_reductions
          (decisions_per_conflict r.stats)
@@ -368,7 +365,6 @@ module Session = struct
   let create ?support net opts = of_encoding ?support (Encode.build net opts)
   let encoding s = s.enc
   let queries s = s.next
-  let solver s = s.solver
   let stats s = Solver.stats s.solver
   let last_support s = s.last_support
 
@@ -429,8 +425,6 @@ module Session = struct
       ema_restarts = b.Solver.ema_restarts - a.Solver.ema_restarts;
       blocked_restarts = b.Solver.blocked_restarts - a.Solver.blocked_restarts;
       rephases = b.Solver.rephases - a.Solver.rephases;
-      clauses_imported = b.Solver.clauses_imported - a.Solver.clauses_imported;
-      clauses_exported = b.Solver.clauses_exported - a.Solver.clauses_exported;
       learned_clauses = b.Solver.learned_clauses - a.Solver.learned_clauses;
       theory_rounds = b.Solver.theory_rounds - a.Solver.theory_rounds;
       theory_propagations = b.Solver.theory_propagations - a.Solver.theory_propagations;

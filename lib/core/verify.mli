@@ -1,8 +1,7 @@
 (** Top-level verification: the {!Query}/{!Report} API.
 
     Every verification path — one-shot {!run_query}, incremental
-    {!Session}s, the process-pool engine, portfolio racing, the serve
-    daemon — answers labelled {!Query.t}s with uniform {!Report.t}s.
+    {!Session}s, the process-pool engine, the serve daemon — answers labelled {!Query.t}s with uniform {!Report.t}s.
     A query asserts the network semantics, the property's
     instrumentation and assumptions, and the negation of its goal.
     UNSAT ⇒ the property is [Verified] in every stable state, for every
@@ -15,8 +14,8 @@ type outcome = Holds | Violation of Counterexample.t
     extracts it from a report. *)
 
 (** A labelled property query: the unit of work of every verification
-    path (sequential sessions, the process-pool engine, portfolio
-    racing, the serve daemon).  The property is a thunk over the
+    path (sequential sessions, the process-pool engine, the serve
+    daemon).  The property is a thunk over the
     encoding so the same query can be replayed against per-worker
     sessions. *)
 module Query : sig
@@ -79,7 +78,10 @@ module Report : sig
         (** per-query solver work: absolute for a fresh solver, a delta
             over the enclosing session otherwise *)
     worker : int;  (** 0 when answered in-process; pool workers count from 1 *)
-    strategy : string option;  (** winning variant, in portfolio mode *)
+    strategy : string option;
+        (** name of the {!Options.portfolio} strategy variant that
+            answered; no verification path sets it today, so it is
+            always [None] *)
     support : string list option;
         (** [Verified] verdicts from a support-tracking session: the
             devices whose assumption guards appear in the final-conflict
@@ -170,8 +172,9 @@ module Session : sig
     Encode.t ->
     t
   (** Start a session over an already-built encoding.  [strategy]
-      overrides the encoding options' search strategy — the portfolio
-      engine uses this to race variants over one shared encoding.
+      overrides the encoding options' search strategy (the
+      strategy-agreement tests and the solver bench use this to run
+      each named variant over one shared encoding).
       [features] overrides the encoding options' solver optimizations
       (the solver bench uses this for its ablation grid).
 
@@ -203,12 +206,6 @@ module Session : sig
 
   val stats : t -> Smt.Solver.stats
   (** Solver statistics accumulated over all queries of the session. *)
-
-  val solver : t -> Smt.Solver.t
-  (** The session's underlying incremental solver, for clause-sharing
-      hooks ({!Smt.Solver.set_on_restart}, {!Smt.Solver.enable_sharing});
-      portfolio workers wire their exchange through it.  Asserting
-      through it directly would corrupt the session's bookkeeping. *)
 
   val last_support : t -> string list option
   (** Support of the most recent [Verified] check of a

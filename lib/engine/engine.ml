@@ -27,9 +27,6 @@ module Report = Minesweeper.Verify.Report
 type wire =
   | Started of int
   | Finished of int * Report.t
-  | Learned of int array list
-      (* low-LBD clauses a portfolio racer learnt, in the shared CNF's
-         literal numbering; the parent rebroadcasts them to siblings *)
 
 let available_cores () = Domain.recommended_domain_count ()
 
@@ -41,7 +38,7 @@ let rec write_all fd b off len =
     write_all fd b (off + k) (len - k)
   end
 
-let frame_of (m : wire) =
+let write_msg fd (m : wire) =
   let payload = Marshal.to_bytes m [] in
   let n = Bytes.length payload in
   let frame = Bytes.create (4 + n) in
@@ -50,53 +47,7 @@ let frame_of (m : wire) =
   Bytes.set_uint8 frame 2 ((n lsr 8) land 0xff);
   Bytes.set_uint8 frame 3 (n land 0xff);
   Bytes.blit payload 0 frame 4 n;
-  frame
-
-let write_msg fd (m : wire) =
-  let frame = frame_of m in
   write_all fd frame 0 (Bytes.length frame)
-
-(* POSIX guarantees pipe writes of at most PIPE_BUF bytes are atomic:
-   on a non-blocking fd they land whole or fail with EAGAIN — never a
-   torn frame.  Clause rebroadcast leans on this, so frames must stay
-   under the floor. *)
-let pipe_buf = 4096
-
-(* Best-effort clause rebroadcast on a non-blocking pipe: chunk the
-   batch so each frame fits the atomicity floor (halving on the rare
-   marshalled-size overflow), and drop the chunk if the receiver's pipe
-   is full (EAGAIN) or closed (EPIPE) — shared clauses are redundant
-   hints, losing some costs nothing but speed. *)
-let rec send_clauses fd = function
-  | [] -> ()
-  | clauses ->
-    let batch, rest =
-      let rec take n acc = function
-        | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      take 8 [] clauses
-    in
-    let frame = frame_of (Learned batch) in
-    if Bytes.length frame > pipe_buf then begin
-      match batch with
-      | [ _ ] -> send_clauses fd rest (* oversized singleton: drop *)
-      | _ ->
-        let k = List.length batch / 2 in
-        let rec split n acc = function
-          | x :: tl when n > 0 -> split (n - 1) (x :: acc) tl
-          | tl -> (List.rev acc, tl)
-        in
-        let a, b = split k [] batch in
-        send_clauses fd a;
-        send_clauses fd (b @ rest)
-    end
-    else begin
-      (try ignore (Unix.write fd frame 0 (Bytes.length frame)) with
-       | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
-       | Unix.Unix_error _ -> ());
-      send_clauses fd rest
-    end
 
 (* Consume every complete frame buffered for a worker.  [Marshal] needs
    a contiguous view, so the buffer is rebuilt from the leftover — the
@@ -126,48 +77,9 @@ let drain_frames buf handle =
 
 (* -- worker side ----------------------------------------------------------- *)
 
-(* Wire a portfolio racer's session into the clause exchange: export
-   low-LBD learnt clauses up the report pipe, and poll the import pipe
-   for siblings' clauses.  Both happen inside the solver's restart hook
-   — decision level 0, propagation complete — where imported clauses
-   attach with valid watches (and, under --certify, pass the RUP check
-   that keeps the proof trace sound; see Smt.Solver.import_clause). *)
-let wire_sharing session ~import_fd ~report_fd =
-  let solver = Verify.Session.solver session in
-  Smt.Solver.enable_sharing solver;
-  let ibuf = Buffer.create 1024 in
-  let tmp = Bytes.create 65536 in
-  Smt.Solver.set_on_restart solver
-    (Some
-       (fun () ->
-         (match Smt.Solver.drain_exported solver with
-          | [] -> ()
-          | clauses -> ( try write_msg report_fd (Learned clauses) with _ -> ()));
-         let rec pump () =
-           match Unix.select [ import_fd ] [] [] 0.0 with
-           | [ _ ], _, _ ->
-             (match Unix.read import_fd tmp 0 (Bytes.length tmp) with
-              | 0 -> () (* parent gone; stop pulling *)
-              | k ->
-                Buffer.add_subbytes ibuf tmp 0 k;
-                drain_frames ibuf (function
-                  | Learned clauses ->
-                    List.iter (fun c -> ignore (Smt.Solver.import_clause solver c)) clauses
-                  | Started _ | Finished _ -> ());
-                pump ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-              | exception _ -> ())
-           | _ -> ()
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         in
-         pump ()))
-
-let worker_main ~worker_id ?strategy ?strategy_name ?support ?import enc shard wfd =
+let worker_main ~worker_id ?support enc shard wfd =
   (try
-     let session = Verify.Session.of_encoding ?strategy ?support enc in
-     (match import with
-      | Some import_fd -> wire_sharing session ~import_fd ~report_fd:wfd
-      | None -> ());
+     let session = Verify.Session.of_encoding ?support enc in
      List.iter
        (fun (idx, q) ->
          write_msg wfd (Started idx);
@@ -187,8 +99,7 @@ let worker_main ~worker_id ?strategy ?strategy_name ?support ?import enc shard w
                method_ = None;
              }
          in
-         write_msg wfd
-           (Finished (idx, { r with Report.worker = worker_id; strategy = strategy_name })))
+         write_msg wfd (Finished (idx, { r with Report.worker = worker_id })))
        shard
    with _ -> ());
   (try Unix.close wfd with _ -> ());
@@ -317,7 +228,6 @@ let run ?jobs ?timeout ?support enc queries =
         if results.(i) = None then results.(i) <- Some r;
         w.current <- None;
         w.remaining <- List.filter (fun (j, _) -> j <> i) w.remaining
-      | Learned _ -> ()  (* sharded runs don't share clauses *)
     in
     let tmp = Bytes.create 65536 in
     let read_worker w =
@@ -381,131 +291,3 @@ let run ?jobs ?timeout ?support enc queries =
            | None -> synthetic i (Report.Error "query lost by the scheduler") 0)
          results)
   end
-
-(* -- portfolio: race strategies on one query, first decisive answer wins --- *)
-
-let portfolio ?timeout ?(strategies = Minesweeper.Options.portfolio) ?(share = true) enc q =
-  if strategies = [] then invalid_arg "Engine.portfolio: empty strategy list";
-  let q = Query.with_default_timeout timeout q in
-  let racers = Array.of_list strategies in
-  let started = Unix.gettimeofday () in
-  (* Rebroadcasting to a racer that just won (and exited) must not kill
-     the parent with SIGPIPE; restore the handler on the way out. *)
-  let prev_sigpipe =
-    if share then Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) else None
-  in
-  let fds = ref [] in
-  let procs =
-    Array.mapi
-      (fun i (name, strat) ->
-        let r, w = Unix.pipe () in
-        (* The import pipe runs parent -> child; the parent's write end
-           is non-blocking so a slow importer can never stall the
-           scheduler (clause hints are droppable). *)
-        let ir, iw = Unix.pipe () in
-        Unix.set_nonblock iw;
-        let sibling_fds = !fds in
-        flush stdout;
-        flush stderr;
-        match Unix.fork () with
-        | 0 ->
-          Unix.close r;
-          Unix.close iw;
-          List.iter (fun fd -> try Unix.close fd with _ -> ()) sibling_fds;
-          let import = if share then Some ir else None in
-          worker_main ~worker_id:(i + 1) ~strategy:strat ~strategy_name:name ?import enc
-            [ (0, q) ] w
-        | pid ->
-          Unix.close w;
-          Unix.close ir;
-          fds := r :: iw :: !fds;
-          (pid, r, iw, Buffer.create 512, ref true (* alive *)))
-      racers
-  in
-  let winner = ref None in
-  let fallback = ref None in
-  let note (r : Report.t) =
-    match r.Report.verdict with
-    | Report.Verified | Report.Violated _ -> if !winner = None then winner := Some r
-    | Report.Timeout | Report.Error _ -> if !fallback = None then fallback := Some r
-  in
-  (* Clauses one racer learns go to every other live racer. *)
-  let rebroadcast ~from clauses =
-    if share then
-      Array.iteri
-        (fun j (_, _, iw, _, alive) ->
-          if !alive && j <> from then send_clauses iw clauses)
-        procs
-  in
-  let tmp = Bytes.create 65536 in
-  let kill_deadline =
-    match q.Query.timeout with Some t -> Some (started +. (2.0 *. t) +. 1.0) | None -> None
-  in
-  let watchdog_fired = ref false in
-  let some_alive () = Array.exists (fun (_, _, _, _, alive) -> !alive) procs in
-  while !winner = None && (not !watchdog_fired) && some_alive () do
-    let timeout_left =
-      match kill_deadline with
-      | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
-      | None -> 3600.0
-    in
-    let fdl =
-      Array.to_list procs
-      |> List.filter_map (fun (_, fd, _, _, alive) -> if !alive then Some fd else None)
-    in
-    (match Unix.select fdl [] [] timeout_left with
-     | [], _, _ -> if kill_deadline <> None && timeout_left <= 0.0 then watchdog_fired := true
-     | ready, _, _ ->
-       List.iter
-         (fun fd ->
-           Array.iteri
-             (fun i (_, pfd, _, buf, alive) ->
-               let handle = function
-                 | Finished (_, r) -> note r
-                 | Learned clauses -> rebroadcast ~from:i clauses
-                 | Started _ -> ()
-               in
-               if !alive && pfd = fd then begin
-                 match Unix.read fd tmp 0 (Bytes.length tmp) with
-                 | 0 ->
-                   drain_frames buf handle;
-                   alive := false
-                 | n ->
-                   Buffer.add_subbytes buf tmp 0 n;
-                   drain_frames buf handle
-                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-               end)
-             procs)
-         ready
-     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  done;
-  (* Cancel the losers (and any watchdog-stuck racer) and reap everyone. *)
-  Array.iter
-    (fun (pid, fd, iw, _, alive) ->
-      if !alive then (try Unix.kill pid Sys.sigkill with _ -> ());
-      (try Unix.close fd with _ -> ());
-      (try Unix.close iw with _ -> ());
-      (try ignore (Unix.waitpid [] pid) with _ -> ()))
-    procs;
-  (match prev_sigpipe with
-   | Some h -> ignore (Sys.signal Sys.sigpipe h)
-   | None -> ());
-  let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
-  match (!winner, !fallback) with
-  | Some r, _ -> r
-  | None, Some r -> r
-  | None, None ->
-    {
-      Report.label = q.Query.label;
-      verdict =
-        (if !watchdog_fired then Report.Timeout
-         else Report.Error "all portfolio racers crashed");
-      certificate = Report.Uncertified;
-      wall_ms = elapsed_ms;
-      stats = Report.empty_stats;
-      worker = 0;
-      strategy = None;
-      support = None;
-      replayed = false;
-      method_ = None;
-    }

@@ -1,5 +1,6 @@
 (** Parallel verification engine: shard a suite of property queries
-    across OS processes, or race solver strategies on one hard query.
+    across OS processes.  Each query is answered by one solver; the
+    parallelism is across queries, never within one.
 
     A property suite is embarrassingly parallel — every query is an
     independent UNSAT call against the same network semantics (the
@@ -56,33 +57,3 @@ val run :
     reports come back with their [support] device set — it is plain
     data, so it survives the marshalled worker boundary.  The serve
     daemon runs its query fan-out this way. *)
-
-val portfolio :
-  ?timeout:float ->
-  ?strategies:(string * Smt.Solver.strategy) list ->
-  ?share:bool ->
-  Minesweeper.Encode.t ->
-  Verify.Query.t ->
-  Verify.Report.t
-(** Race one query under [strategies] (default
-    {!Minesweeper.Options.portfolio}), one process per strategy, and
-    return the first decisive report — [Verified] or [Violated] — with
-    its [strategy] field naming the winner; the losers are killed.
-    Every strategy is sound and complete, so any winner's verdict is
-    the query's verdict.  If no racer is decisive (all time out, crash
-    or error), the first-completed indecisive report is returned.
-
-    [share] (default [true]) turns the race into a cooperating
-    portfolio: each racer exports its low-LBD (glue) learnt clauses at
-    restarts, the parent rebroadcasts them, and the other racers attach
-    them via the solver's import path.  Sharing is sound because every
-    racer solves the {e same} CNF with identical variable numbering
-    (all are forked from one parent after the encoding is built), so a
-    clause learnt by one is a logical consequence of the shared input
-    formula for all; under [--certify] each import is additionally
-    RUP-checked by the importer and logged, keeping proof traces
-    independently checkable (see {!Smt.Solver.import_clause}).  The
-    exchange is best-effort — frames ride the atomic-pipe-write
-    guarantee and are dropped rather than ever blocking the race.
-    The winner's [clauses_imported]/[clauses_exported] stats record
-    the traffic. *)

@@ -173,17 +173,6 @@ type t = {
   mutable rephases : int;
   mutable next_rephase : int;  (* conflict count scheduling the next rephase *)
   mutable rephase_kind : int;
-  (* -- portfolio clause sharing -- *)
-  mutable share_max_lbd : int;  (* 0 = export collection off *)
-  mutable share_max_len : int;
-  mutable export_rev : int array list;  (* pending exports, newest first *)
-  mutable export_n : int;
-  mutable exported : int;
-  mutable imported : int;
-  mutable on_restart : (unit -> unit) option;
-      (* fired after every restart, at decision level 0 with propagation
-         complete: the safe point where the portfolio engine drains
-         exports and integrates clauses learnt by sibling solvers *)
 }
 
 type result = Sat | Unsat
@@ -258,13 +247,6 @@ let create () =
     rephases = 0;
     next_rephase = 1000;
     rephase_kind = 0;
-    share_max_lbd = 0;
-    share_max_len = 0;
-    export_rev = [];
-    export_n = 0;
-    exported = 0;
-    imported = 0;
-    on_restart = None;
   }
 
 let enable_proof s = s.proof_on <- true
@@ -280,21 +262,6 @@ let log_step s step =
 
 let set_strategy s st = s.strategy <- st
 let set_stop s f = s.stop <- f
-let set_on_restart s f = s.on_restart <- f
-
-(* Enable collection of low-LBD learnt clauses for portfolio export
-   ([max_lbd = 0] disables it).  The buffer is bounded; overflow drops
-   new candidates — sharing is best-effort, never backpressure. *)
-let set_share s ~max_lbd ~max_len =
-  s.share_max_lbd <- max_lbd;
-  s.share_max_len <- max_len
-
-let drain_exports s =
-  let out = List.rev s.export_rev in
-  s.export_rev <- [];
-  s.export_n <- 0;
-  s.exported <- s.exported + List.length out;
-  out
 let set_max_learnts s n = s.max_learnts <- float_of_int n
 let set_simplify s b = s.simplify_enabled <- b
 let set_pure_elim s b = s.pure_elim_enabled <- b
@@ -315,8 +282,6 @@ let num_compactions s = s.compactions
 let num_ema_restarts s = s.ema_restarts
 let num_blocked_restarts s = s.blocked_restarts
 let num_rephases s = s.rephases
-let num_imported s = s.imported
-let num_exported s = s.exported
 let arena_words s = s.asize
 let arena_wasted_words s = s.awasted
 let minor_words s = s.minor_words
@@ -1257,7 +1222,9 @@ let reduce_db s =
    restarting from scratch: attach it with valid watches and backjump
    just far enough that it is no longer conflicting (then it propagates
    like any learnt clause). *)
-let integrate_core s lits =
+let integrate_clause s lits =
+  let lits = List.sort_uniq compare lits in
+  log_step s (P_lemma (Array.of_list lits));
   (* literals false at level 0 can never help *)
   let lits' =
     List.filter (fun l -> not (lit_value s l = -1 && s.level.(lit_var l) = 0)) lits
@@ -1320,54 +1287,6 @@ let integrate_core s lits =
         end
       | _ -> assert false
     done
-
-let integrate_clause s lits =
-  let lits = List.sort_uniq compare lits in
-  log_step s (P_lemma (Array.of_list lits));
-  integrate_core s lits
-
-(* Import a clause learnt by a sibling portfolio solver over the same
-   CNF (identical variable numbering — the portfolio engine's
-   invariant).  Any learnt clause is a resolution consequence of the
-   shared input formula, so attaching it can never change a verdict.
-
-   With proof logging on, only clauses the independent checker will
-   accept are admitted: the clause is first verified RUP against *this*
-   solver's clause database by a scratch propagation probe at level 0 —
-   unit propagation closure is unique, so the solver's watched-literal
-   propagation and the checker's counting propagation over the logged
-   active set agree — and then recorded as a [P_rup] step.  A clause
-   that is not locally RUP (its derivation needed sibling-private
-   learnt clauses) is dropped rather than logged unjustifiably.
-   Returns [true] when the clause was attached. *)
-let import_clause s lits =
-  if (not s.ok) || Array.length lits = 0 then false
-  else begin
-    let lits = List.sort_uniq compare (Array.to_list lits) in
-    if List.exists (fun l -> lit_value s l = 1 && s.level.(lit_var l) = 0) lits then
-      (* satisfied at the root: attaching it buys nothing *)
-      false
-    else if not s.proof_on then begin
-      integrate_core s lits;
-      s.imported <- s.imported + 1;
-      true
-    end
-    else begin
-      cancel_until s 0;
-      (* scratch decision level asserting the clause's negation *)
-      Vec.push s.trail_lim (Vec.size s.trail);
-      List.iter (fun l -> if lit_value s l = 0 then enqueue s (lit_neg l) (-1)) lits;
-      let confl = propagate s in
-      cancel_until s 0;
-      if confl >= 0 then begin
-        log_step s (P_rup (Array.of_list lits));
-        integrate_core s lits;
-        s.imported <- s.imported + 1;
-        true
-      end
-      else false
-    end
-  end
 
 (* -- final conflict analysis (assumptions) ---------------------------------- *)
 
@@ -1489,20 +1408,6 @@ let decide s =
     true
   end
 
-(* Collect a freshly learnt clause for portfolio export: short,
-   low-LBD clauses only, into a bounded buffer the engine drains at
-   restarts.  Glue is a quality signal here exactly as it is for
-   clause-database reduction: a low-LBD clause prunes with few decision
-   levels' worth of context, so it transfers across solvers. *)
-let export_learnt s lits glue =
-  if s.share_max_lbd > 0 && glue <= s.share_max_lbd && s.export_n < 256 then begin
-    let arr = Array.of_list lits in
-    if Array.length arr <= s.share_max_len then begin
-      s.export_rev <- arr :: s.export_rev;
-      s.export_n <- s.export_n + 1
-    end
-  end
-
 (* Cooperative cancellation point: when the stop hook fires, abandon
    the search at level 0 (keeping all learnt clauses — they were derived
    from the clause database alone, so a later solve may reuse them). *)
@@ -1597,7 +1502,6 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
            Vec.push s.learnts c;
            attach s c;
            enqueue s l c);
-        export_learnt s learnt glue;
         var_decay s;
         cla_decay s
       end
@@ -1643,14 +1547,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
         conflicts_since_restart := 0;
         restart_limit := s.strategy.restart_base * luby !restart_num;
         cancel_until s 0;
-        if s.strategy.rephase && s.conflicts >= s.next_rephase then rephase s;
-        (* the portfolio tick: export learnt clauses, import siblings'.
-           Level 0, propagation complete — imports attach cleanly. *)
-        (match s.on_restart with
-         | Some f ->
-           f ();
-           if not s.ok then answer := Some Unsat
-         | None -> ())
+        if s.strategy.rephase && s.conflicts >= s.next_rephase then rephase s
       end
     end
     else begin

@@ -55,9 +55,8 @@ type strategy = {
           regions of the assignment space the search revisits after
           restarts. *)
 }
-(** Search-strategy knobs.  Any strategy is sound and complete — they
-    only steer the search, which is what makes racing them in a
-    portfolio worthwhile. *)
+(** Search-strategy knobs.  Any strategy is sound and complete: they
+    only steer the search, so every variant gives the same verdicts. *)
 
 val default_strategy : strategy
 
@@ -162,36 +161,6 @@ val set_stop : t -> (unit -> bool) option -> unit
     before the cancellation are kept and a later {!solve} starts the
     search afresh. *)
 
-val set_on_restart : t -> (unit -> unit) option -> unit
-(** Hook invoked at every restart, after the trail has been cancelled
-    to level 0 (and after any rephase).  This is the portfolio tick:
-    the callback may {!drain_exports} and {!import_clause} freely —
-    propagation is complete and imports attach cleanly.  If the hook
-    imports a clause that makes the database unsatisfiable, the running
-    {!solve} answers [Unsat]. *)
-
-val set_share : t -> max_lbd:int -> max_len:int -> unit
-(** Enable learnt-clause export: conflict clauses with LBD at most
-    [max_lbd] and at most [max_len] literals are copied to an export
-    buffer (bounded; overflow drops silently).  [max_lbd = 0] disables
-    export (the default). *)
-
-val drain_exports : t -> int array list
-(** Take the export buffer, oldest first.  Literals use this solver's
-    numbering — sharing is only sound between solvers with identical
-    variable numbering (e.g. portfolio workers forked from one parent
-    after CNF conversion). *)
-
-val import_clause : t -> int array -> bool
-(** Attach a clause learnt by a sibling solver over the same CNF.
-    Returns [true] if the clause was integrated.  Must be called at
-    decision level 0 with propagation complete (the {!set_on_restart}
-    hook guarantees both).  When proof logging is on, the import is
-    first checked to be RUP with respect to this solver's active set
-    (assert the negation, propagate, require a conflict) and logged as
-    {!P_rup}; non-RUP imports are dropped — returning [false] — so the
-    trace stays independently checkable. *)
-
 val create : unit -> t
 
 val new_var : t -> int
@@ -276,12 +245,6 @@ val num_blocked_restarts : t -> int
 
 val num_rephases : t -> int
 (** Phase-schedule resets performed (strategy [rephase] only). *)
-
-val num_imported : t -> int
-(** Clauses integrated via {!import_clause}. *)
-
-val num_exported : t -> int
-(** Clauses handed out by {!drain_exports}. *)
 
 val num_learnts : t -> int
 (** Learnt clauses created (conflict analysis and integrated theory

@@ -59,9 +59,19 @@ let parse (s : string) : (value, string) result =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for k = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + k]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -190,7 +200,11 @@ let parse (s : string) : (value, string) result =
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let get_string = function Str s -> Some s | _ -> None
-let get_int = function Num f when Float.is_integer f -> Some (int_of_float f) | _ -> None
+(* 2^53: beyond it a float no longer holds every integer, and far
+   beyond it [int_of_float] wraps or returns 0. *)
+let get_int = function
+  | Num f when Float.is_integer f && Float.abs f <= 9007199254740992.0 -> Some (int_of_float f)
+  | _ -> None
 let get_float = function Num f -> Some f | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None
 let get_list = function Arr vs -> Some vs | _ -> None

@@ -41,7 +41,8 @@ val member : string -> value -> value option
 
 val get_string : value -> string option
 val get_int : value -> int option
-(** [Num] with an integral value only. *)
+(** [Num] with an integral value of magnitude at most 2{^53} only;
+    larger numbers are [None] rather than a wrapped [int]. *)
 
 val get_float : value -> float option
 val get_bool : value -> bool option

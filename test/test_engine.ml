@@ -1,8 +1,8 @@
 (* Differential and fault-injection tests for the parallel engine: on
-   enterprise and fattree networks, Engine.run at -j 1 and -j 4 and
-   portfolio mode must reproduce exactly the verdicts of a sequential
-   Verify.Session over the same queries, in the same order; a worker
-   killed mid-shard must not lose or reorder any result. *)
+   enterprise and fattree networks, Engine.run at -j 1 and -j 4 must
+   reproduce exactly the verdicts of a sequential Verify.Session over
+   the same queries, in the same order; a worker killed mid-shard must
+   not lose or reorder any result. *)
 
 module MS = Minesweeper
 module G = Generators
@@ -65,15 +65,7 @@ let differential name net queries =
   check_same_reports (name ^ " -j4") sequential j4;
   (* parallel reports must come from real workers *)
   if List.for_all (fun r -> r.Report.worker = 0) j4 then
-    Alcotest.failf "%s: no -j4 report carries a worker id" name;
-  let pf = List.map (fun q -> Engine.portfolio enc q) queries in
-  check_same_reports (name ^ " portfolio") sequential pf;
-  List.iter
-    (fun r ->
-      match r.Report.strategy with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s: portfolio report %s names no strategy" name r.Report.label)
-    pf
+    Alcotest.failf "%s: no -j4 report carries a worker id" name
 
 let test_enterprise_clean () =
   let t = G.Enterprise.make ~seed:3 ~routers:8 ~inject:G.Enterprise.no_bugs () in
@@ -228,7 +220,7 @@ let test_timeout () =
 
 (* ---- strategies ---------------------------------------------------------- *)
 
-(* Every portfolio strategy is sound and complete: same verdicts on the
+(* Every named strategy variant is sound and complete: same verdicts on the
    same session-run suite. *)
 let test_strategies_agree () =
   let ft = G.Fattree.make ~pods:2 in
@@ -244,52 +236,6 @@ let test_strategies_agree () =
       in
       Alcotest.(check (list string)) ("strategy " ^ name) baseline got)
     MS.Options.portfolio
-
-(* ---- clause sharing ------------------------------------------------------ *)
-
-(* Race-and-share must answer exactly like race-and-kill: shared
-   clauses are consequences of the same input formula, so they steer
-   the racers without changing any verdict. *)
-let test_sharing_agrees () =
-  let ft = G.Fattree.make ~pods:4 in
-  let enc = MS.Encode.build ft.G.Fattree.network MS.Options.default in
-  let queries = fattree_queries ft in
-  let baseline =
-    verdicts (MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) queries)
-  in
-  let shared = verdicts (List.map (fun q -> Engine.portfolio ~share:true enc q) queries) in
-  let solo = verdicts (List.map (fun q -> Engine.portfolio ~share:false enc q) queries) in
-  Alcotest.(check (list string)) "sharing on" baseline shared;
-  Alcotest.(check (list string)) "sharing off" baseline solo
-
-(* Under --certify every imported clause is RUP-checked and logged by
-   the importer, so the winner's certificate must still check whichever
-   racer wins (and however many clauses it imported). *)
-let test_sharing_certified () =
-  let ft = G.Fattree.make ~pods:4 in
-  let enc =
-    MS.Encode.build ft.G.Fattree.network (MS.Options.with_certify MS.Options.default)
-  in
-  let dst_tor = List.hd ft.G.Fattree.tors in
-  let other_tors = List.filter (fun t -> t <> dst_tor) ft.G.Fattree.tors in
-  let dest = MS.Property.Subnet (dst_tor, ft.G.Fattree.tor_subnet dst_tor) in
-  List.iter
-    (fun q ->
-      let r = Engine.portfolio ~share:true enc q in
-      match r.Report.certificate with
-      | Report.Checked_unsat_proof _ | Report.Checked_model -> ()
-      | Report.Certification_failed msg ->
-        Alcotest.failf "%s: certificate failed with sharing on: %s" r.Report.label msg
-      | Report.Uncertified ->
-        Alcotest.failf "%s: no certificate from a certify encoding (verdict %s)"
-          r.Report.label
-          (Report.verdict_name r.Report.verdict))
-    [
-      Query.v "all-tor-reachability" (fun enc ->
-          MS.Property.reachability enc ~sources:other_tors dest);
-      Query.v "isolation-should-fail" (fun enc ->
-          MS.Property.isolation enc ~sources:[ List.hd other_tors ] dest);
-    ]
 
 (* ---- report surface ------------------------------------------------------ *)
 
@@ -364,12 +310,7 @@ let () =
           Alcotest.test_case "worker killed always: error" `Quick test_worker_killed_always;
           Alcotest.test_case "per-query timeout" `Quick test_timeout;
         ] );
-      ("strategies", [ Alcotest.test_case "portfolio variants agree" `Quick test_strategies_agree ]);
-      ( "sharing",
-        [
-          Alcotest.test_case "share on/off verdicts agree" `Quick test_sharing_agrees;
-          Alcotest.test_case "certify with imports" `Quick test_sharing_certified;
-        ] );
+      ("strategies", [ Alcotest.test_case "strategy variants agree" `Quick test_strategies_agree ]);
       ( "reports",
         [
           Alcotest.test_case "json shape" `Quick test_report_json;

@@ -98,6 +98,8 @@ let test_malformed () =
   ignore (expect_err (fst (Serve.handle_line d (req_diff "hostname R1"))));
   (* a config that does not parse *)
   ignore (expect_err (fst (Serve.handle_line d (req_load "hostname R1\nbananas"))));
+  (* a \u escape without four hex digits is a parse error, not a crash *)
+  ignore (expect_err (fst (Serve.handle_line d {|{"schema":2,"op":"load","config":"\uZZZZ"}|})));
   (* the daemon survives all of the above *)
   let resp = ask d {|{"schema":2,"op":"stats"}|} in
   Alcotest.(check bool) "not loaded" false (get_bool_field resp "loaded")

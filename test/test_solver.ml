@@ -379,58 +379,6 @@ let test_ema_rephase_engage () =
     Alcotest.fail "Ema_lbd mode performed no EMA-triggered restart";
   if Smt.Sat.num_rephases s = 0 then Alcotest.fail "rephasing never fired"
 
-(* -- clause sharing: export, certified import ------------------------------ *)
-
-(* Exporter A and importer B solve the same CNF (identical variable
-   numbering).  A's exported low-LBD clauses import into B with proof
-   logging on; B's trace — inputs, P_rup imports, its own learnt
-   clauses — must then replay through the independent checker.  This is
-   the single-process version of the portfolio exchange, deterministic
-   enough for CI. *)
-let test_sharing_certified () =
-  let a = Smt.Sat.create () in
-  Smt.Sat.set_lbd a true;
-  Smt.Sat.set_share a ~max_lbd:8 ~max_len:30;
-  add_pigeonhole a 7;
-  (match Smt.Sat.solve a with
-   | Smt.Sat.Unsat -> ()
-   | Smt.Sat.Sat -> Alcotest.fail "exporter: pigeonhole must be unsat");
-  let exported = Smt.Sat.drain_exports a in
-  if exported = [] then Alcotest.fail "exporter produced no shareable clauses";
-  Alcotest.(check int) "exported counter" (List.length exported) (Smt.Sat.num_exported a);
-  let b = Smt.Sat.create () in
-  Smt.Sat.enable_proof b;
-  Smt.Sat.set_lbd b true;
-  add_pigeonhole b 7;
-  let accepted =
-    List.fold_left (fun k c -> if Smt.Sat.import_clause b c then k + 1 else k) 0 exported
-  in
-  if accepted = 0 then Alcotest.fail "no exported clause was RUP for the importer";
-  Alcotest.(check int) "imported counter" accepted (Smt.Sat.num_imported b);
-  (match Smt.Sat.solve b with
-   | Smt.Sat.Unsat -> ()
-   | Smt.Sat.Sat -> Alcotest.fail "importer: pigeonhole must be unsat");
-  match Proof.Checker.run ~goal:Proof.Checker.Empty (Smt.Sat.proof_steps b) with
-  | Ok summary ->
-    if summary.Proof.Checker.rup_checked < accepted then
-      Alcotest.failf "checker confirmed %d RUP steps, expected at least the %d imports"
-        summary.Proof.Checker.rup_checked accepted
-  | Error msg -> Alcotest.failf "importer trace rejected: %s" msg
-
-(* A clause that is NOT a consequence must be refused by the certified
-   import path (and accepted blindly with proof off — the caller owns
-   provenance there, exactly like [P_input]). *)
-let test_import_non_rup_dropped () =
-  let b = Smt.Sat.create () in
-  Smt.Sat.enable_proof b;
-  let x = Smt.Sat.new_var b in
-  let y = Smt.Sat.new_var b in
-  Smt.Sat.add_clause b [ Smt.Sat.pos_lit x; Smt.Sat.pos_lit y ];
-  (* [x] alone is not RUP: negating it propagates nothing contradictory *)
-  if Smt.Sat.import_clause b [| Smt.Sat.pos_lit x |] then
-    Alcotest.fail "non-RUP import accepted under proof logging";
-  Alcotest.(check int) "nothing imported" 0 (Smt.Sat.num_imported b)
-
 let () =
   Alcotest.run "solver-features"
     [
@@ -445,11 +393,6 @@ let () =
             test_enterprise_strategy_grid;
           Alcotest.test_case "fattree restart x rephase" `Quick test_fattree_strategy_grid;
           Alcotest.test_case "ema + rephase engage" `Quick test_ema_rephase_engage;
-        ] );
-      ( "sharing",
-        [
-          Alcotest.test_case "certified import round-trip" `Quick test_sharing_certified;
-          Alcotest.test_case "non-RUP import dropped" `Quick test_import_non_rup_dropped;
         ] );
       ( "pure-literals",
         [

@@ -24,6 +24,39 @@ let test_escape_control () =
   (* bytes >= 0x20 pass through untouched, including 8-bit ones *)
   Alcotest.(check string) "high byte" "\xc3\xa9" (Msutil.Json.escape "\xc3\xa9")
 
+(* Integral floats past 2^53 used to come back wrapped ([1e300] read as
+   [Some 0]), so a request field like ["bound":1e300] ran with bound 0. *)
+let test_get_int_range () =
+  let get text =
+    match Msutil.Json.parse text with
+    | Ok v -> Msutil.Json.get_int v
+    | Error e -> Alcotest.failf "parse %s: %s" text e
+  in
+  let check_opt = Alcotest.(check (option int)) in
+  check_opt "small" (Some 42) (get "42");
+  check_opt "negative" (Some (-7)) (get "-7");
+  check_opt "2^53" (Some 9007199254740992) (get "9007199254740992");
+  check_opt "-2^53" (Some (-9007199254740992)) (get "-9007199254740992");
+  check_opt "fraction" None (get "1.5");
+  check_opt "1e300" None (get "1e300");
+  check_opt "-1e300" None (get "-1e300");
+  check_opt "2^53 + 2" None (get "9007199254740994")
+
+(* A \u escape must carry four hex digits; anything else is a parse
+   error, never an exception. *)
+let test_bad_unicode_escape () =
+  List.iter
+    (fun text ->
+      match Msutil.Json.parse text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | exception e -> Alcotest.failf "%s raised %s" text (Printexc.to_string e))
+    [ {|"\uZZZZ"|}; {|"\u12G4"|}; {|"\u+123"|}; {|"\u1_23"|}; {|"\u12"|} ];
+  match Msutil.Json.parse {|"\u00e9\u0041"|} with
+  | Ok v ->
+    Alcotest.(check (option string)) "decoded" (Some "\xc3\xa9A") (Msutil.Json.get_string v)
+  | Error e -> Alcotest.fail e
+
 let test_quote_and_opt () =
   Alcotest.(check string) "quote wraps" "\"a\\\"b\"" (Msutil.Json.quote "a\"b");
   Alcotest.(check string) "opt none" "null" (Msutil.Json.opt None);
@@ -191,6 +224,8 @@ let () =
           Alcotest.test_case "control chars" `Quick test_escape_control;
           Alcotest.test_case "quote and opt" `Quick test_quote_and_opt;
           Alcotest.test_case "shared by verify" `Quick test_shared_everywhere;
+          Alcotest.test_case "get_int range" `Quick test_get_int_range;
+          Alcotest.test_case "bad unicode escape" `Quick test_bad_unicode_escape;
         ] );
       ( "sarif",
         [
