@@ -1,42 +1,4 @@
-# Convenience targets; `make check` is the full local gate: build,
-# test suite, a lint pass over every example configuration, the
-# batch-verification smoke benchmark (one incremental session must
-# beat N fresh solvers with identical verdicts), the parallel
-# smoke benchmark (sharded -j2 run must agree with the sequential
-# session on every verdict, and beat it by >=1.3x when the machine
-# has at least 2 cores), the solver-ablation smoke benchmark
-# (all 2^4-grid corners must give identical verdicts; the all-on
-# speedup is additionally gated when the baseline suite is slow
-# enough for the ratio to be signal rather than timer noise, and the
-# restart-mode/rephasing strategy grid must agree with the feature
-# baseline everywhere), and
-# the certification smoke benchmark (every verdict of the enterprise
-# and fattree suites must carry a positive certificate — UNSAT proofs
-# replayed through the independent checker, SAT models evaluated and
-# simulated — with zero Uncertified verdicts and verdict agreement
-# against the uncertified pass), and the symmetry-scale smoke
-# benchmark (the quotient encoding must agree with the full encoding
-# on every fat-tree point both modes ran — as must Ema_lbd vs Luby
-# restarts, on the quotient and on the full encoding — with the
-# speedup gated above a noise floor only where symmetry classes
-# actually collapse devices; full-mode points past the wall-clock
-# budget are skipped with an explicit label, mirroring the parallel
-# bench's skipped_low_cores convention), and the arena smoke benchmark (the
-# SAT core's steady-state propagation loop must allocate ~0 minor
-# words per propagation, all-off and all-on must agree on the hardest
-# query with all-on at least 2x faster above a noise floor, and the
-# arena-compaction path must actually run under reduction stress),
-# and the serve smoke benchmark (the delta daemon absorbing config
-# churn via core-disjoint verdict replay must agree with cold full
-# re-verification on every step, show non-zero replay and cache-hit
-# counters, and be at least 2x faster than the cold path when the
-# diff touches <= 20% of the devices), and the fault smoke benchmark
-# (the graph-first hybrid, min cut then SMT fallback, must agree with
-# the two-copy SMT encoding alone on every <=k-failure query of both
-# generators, the graph fast path must decide at least one query, and
-# above a noise floor the hybrid must be at least 2x faster than SMT
-# on the graph-decided subset, no slower than SMT over all rows, and
-# within SMT + 10% on every fallback row).
+# Convenience targets; `make check` is the full local gate: build, test suite, lint over the examples, and the eight `--smoke` benches, whose gates are listed in the bench table of bench/main.ml and recorded in each BENCH_*.json.
 
 .PHONY: all build test lint fuzz coverage bench-smoke bench-parallel-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke check clean
 

@@ -171,7 +171,10 @@ let verify_cmd =
       let total_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
       let code = MS.Verify.Report.exit_code reports in
       (match format with
-       | `Json -> print_endline (MS.Verify.Report.list_to_json reports)
+       | `Json ->
+         print_string
+           (Msutil.Json.to_string ~pretty:true
+              (Msutil.Json.Arr (List.map MS.Verify.Report.json reports)))
        | `Text ->
          let count p = List.length (List.filter p reports) in
          List.iter

@@ -70,24 +70,34 @@ let render_text diags =
 
 (* -- JSON rendering ------------------------------------------------------------- *)
 
-(* Escaping lives in the shared Msutil.Json module so the lint
-   diagnostics, the verification reports and the bench writers cannot
-   drift apart; these aliases keep the historical local names. *)
-let json_escape = Msutil.Json.escape
-let json_opt = Msutil.Json.opt
+module J = Msutil.Json
+
+let opt_str = function Some s -> J.Str s | None -> J.Null
 
 let to_json d =
-  Printf.sprintf
-    "{\"code\":\"%s\",\"severity\":\"%s\",\"device\":%s,\"object\":%s,\"message\":\"%s\"}"
-    (json_escape d.code)
-    (severity_to_string d.severity)
-    (json_opt d.device) (json_opt d.obj) (json_escape d.message)
+  J.Obj
+    [
+      ("code", J.Str d.code);
+      ("severity", J.Str (severity_to_string d.severity));
+      ("device", opt_str d.device);
+      ("object", opt_str d.obj);
+      ("message", J.Str d.message);
+    ]
 
 let render_json diags =
-  Printf.sprintf
-    "{\"diagnostics\":[%s],\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d}}\n"
-    (String.concat "," (List.map to_json diags))
-    (count Error diags) (count Warning diags) (count Info diags)
+  J.to_string
+    (J.Obj
+       [
+         ("diagnostics", J.Arr (List.map to_json diags));
+         ( "summary",
+           J.Obj
+             [
+               ("errors", J.int (count Error diags));
+               ("warnings", J.int (count Warning diags));
+               ("infos", J.int (count Info diags));
+             ] );
+       ])
+  ^ "\n"
 
 (* -- SARIF 2.1.0 rendering ------------------------------------------------------ *)
 
@@ -124,48 +134,50 @@ let sarif_level = function Error -> "error" | Warning -> "warning" | Info -> "no
    one result per diagnostic.  [uri] names the analyzed configuration
    file so CI annotation surfaces have an artifact to attach to. *)
 let render_sarif ?(uri = "network.cfg") diags =
-  let q = Msutil.Json.quote in
   let rule_ids =
     List.sort_uniq Stdlib.compare (List.map (fun d -> (d.code, d.severity)) diags)
   in
-  let rules =
-    List.map
-      (fun (code, sev) ->
-        let title =
-          match List.assoc_opt code known_codes with Some t -> t | None -> code
-        in
-        Printf.sprintf
-          "{\"id\":%s,\"shortDescription\":{\"text\":%s},\"defaultConfiguration\":{\"level\":%s}}"
-          (q code) (q title) (q (sarif_level sev)))
-      rule_ids
+  let text t = J.Obj [ ("text", J.Str t) ] in
+  let rule (code, sev) =
+    let title = match List.assoc_opt code known_codes with Some t -> t | None -> code in
+    J.Obj
+      [
+        ("id", J.Str code);
+        ("shortDescription", text title);
+        ("defaultConfiguration", J.Obj [ ("level", J.Str (sarif_level sev)) ]);
+      ]
   in
-  let results =
-    List.map
-      (fun d ->
-        let logical =
-          match (d.device, d.obj) with
-          | Some dev, Some o -> Some (dev ^ "/" ^ o)
-          | Some dev, None -> Some dev
-          | None, Some o -> Some o
-          | None, None -> None
-        in
-        let location =
-          Printf.sprintf
-            "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s}}%s}"
-            (q uri)
-            (match logical with
-             | Some l ->
-               Printf.sprintf ",\"logicalLocations\":[{\"fullyQualifiedName\":%s}]" (q l)
-             | None -> "")
-        in
-        Printf.sprintf
-          "{\"ruleId\":%s,\"level\":%s,\"message\":{\"text\":%s},\"locations\":[%s]}"
-          (q d.code)
-          (q (sarif_level d.severity))
-          (q d.message) location)
-      diags
+  let result d =
+    let logical =
+      match (d.device, d.obj) with
+      | Some dev, Some o -> Some (dev ^ "/" ^ o)
+      | Some dev, None -> Some dev
+      | None, Some o -> Some o
+      | None, None -> None
+    in
+    let location =
+      J.Obj
+        (("physicalLocation", J.Obj [ ("artifactLocation", J.Obj [ ("uri", J.Str uri) ]) ])
+        ::
+        (match logical with
+         | Some l -> [ ("logicalLocations", J.Arr [ J.Obj [ ("fullyQualifiedName", J.Str l) ] ]) ]
+         | None -> []))
+    in
+    J.Obj
+      [
+        ("ruleId", J.Str d.code);
+        ("level", J.Str (sarif_level d.severity));
+        ("message", text d.message);
+        ("locations", J.Arr [ location ]);
+      ]
   in
-  Printf.sprintf
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"minesweeper-lint\",\"rules\":[%s]}},\"results\":[%s]}]}\n"
-    (String.concat "," rules)
-    (String.concat "," results)
+  let driver = J.Obj [ ("name", J.Str "minesweeper-lint"); ("rules", J.Arr (List.map rule rule_ids)) ] in
+  let run = J.Obj [ ("tool", J.Obj [ ("driver", driver) ]); ("results", J.Arr (List.map result diags)) ] in
+  J.to_string
+    (J.Obj
+       [
+         ("$schema", J.Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", J.Str "2.1.0");
+         ("runs", J.Arr [ run ]);
+       ])
+  ^ "\n"

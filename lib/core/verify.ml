@@ -140,86 +140,99 @@ module Report = struct
     if st.Solver.conflicts = 0 then 0.0
     else float_of_int st.Solver.decisions /. float_of_int st.Solver.conflicts
 
-  (* The one string-escaping implementation shared with the lint
-     diagnostics and the bench writers (Msutil.Json); the historical
-     name stays because the bench harness and CLI key on it. *)
-  let json_escape = Msutil.Json.escape
-
-  (* One JSON object per report — the single renderer behind both the
-     CLI's --format json and the bench harness. *)
-  let to_json r =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"schema\":%d,\"label\":\"%s\",\"verdict\":\"%s\",\"wall_ms\":%.2f,\"worker\":%d"
-         schema_version (json_escape r.label) (verdict_name r.verdict) r.wall_ms r.worker);
-    (match r.strategy with
-     | Some s -> Buffer.add_string buf (Printf.sprintf ",\"strategy\":\"%s\"" (json_escape s))
-     | None -> ());
-    if r.replayed then Buffer.add_string buf ",\"replayed\":true";
-    (match r.method_ with
-     | Some m -> Buffer.add_string buf (Printf.sprintf ",\"method\":\"%s\"" (method_name m))
-     | None -> ());
-    (match r.support with
-     | Some devs ->
-       Buffer.add_string buf
-         (Printf.sprintf ",\"support\":[%s]"
-            (String.concat "," (List.map (fun d -> "\"" ^ json_escape d ^ "\"") devs)))
-     | None -> ());
-    (match r.verdict with
-     | Error e -> Buffer.add_string buf (Printf.sprintf ",\"error\":\"%s\"" (json_escape e))
-     | Violated cx ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            ",\"counterexample\":{\"dst_ip\":\"%s\",\"src_ip\":\"%s\",\"dst_port\":%d,\"failed_links\":[%s],\"announcements\":%d,\"forwarding_edges\":%d}"
-            (Net.Ipv4.to_string cx.Counterexample.dst_ip)
-            (Net.Ipv4.to_string cx.Counterexample.src_ip)
-            cx.Counterexample.dst_port
-            (String.concat ","
-               (List.map
-                  (fun (a, b) -> Printf.sprintf "[\"%s\",\"%s\"]" (json_escape a) (json_escape b))
-                  cx.Counterexample.failures))
-            (List.length cx.Counterexample.announcements)
-            (List.length cx.Counterexample.forwarding));
-       if cx.Counterexample.classes <> [] then
-         Buffer.add_string buf
-           (Printf.sprintf ",\"symmetry_classes\":[%s]"
-              (String.concat ","
+  (* One JSON object per report — the single renderer behind the CLI's
+     --format json, the serve protocol and the bench harness.  Wall
+     time and decisions per conflict keep two decimals and the
+     allocation count none: more digits would be timer noise. *)
+  let json r =
+    let module J = Msutil.Json in
+    let round2 x = Float.round (x *. 100.0) /. 100.0 in
+    let str_list l = J.Arr (List.map (fun s -> J.Str s) l) in
+    let opt key f = function Some x -> [ (key, f x) ] | None -> [] in
+    let verdict_fields =
+      match r.verdict with
+      | Error e -> [ ("error", J.Str e) ]
+      | Violated cx ->
+        let open Counterexample in
+        ( "counterexample",
+          J.Obj
+            [
+              ("dst_ip", J.Str (Net.Ipv4.to_string cx.dst_ip));
+              ("src_ip", J.Str (Net.Ipv4.to_string cx.src_ip));
+              ("dst_port", J.int cx.dst_port);
+              ("failed_links", J.Arr (List.map (fun (a, b) -> str_list [ a; b ]) cx.failures));
+              ("announcements", J.int (List.length cx.announcements));
+              ("forwarding_edges", J.int (List.length cx.forwarding));
+            ] )
+        ::
+        (if cx.classes = [] then []
+         else
+           [
+             ( "symmetry_classes",
+               J.Arr
                  (List.map
                     (fun (rep, members) ->
-                      Printf.sprintf "{\"representative\":\"%s\",\"members\":%d}"
-                        (json_escape rep) (List.length members))
-                    cx.Counterexample.classes)))
-     | Verified | Timeout -> ());
-    (match r.certificate with
-     | Uncertified -> ()
-     | Checked_unsat_proof { trace_steps; clauses; lemmas } ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            ",\"certificate\":{\"status\":\"checked_unsat_proof\",\"trace_steps\":%d,\"clauses\":%d,\"lemmas\":%d}"
-            trace_steps clauses lemmas)
-     | Checked_model ->
-       Buffer.add_string buf ",\"certificate\":{\"status\":\"checked_model\"}"
-     | Certification_failed msg ->
-       Buffer.add_string buf
-         (Printf.sprintf ",\"certificate\":{\"status\":\"failed\",\"reason\":\"%s\"}"
-            (json_escape msg)));
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"theory_propagations\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
-         r.stats.Solver.conflicts r.stats.Solver.decisions r.stats.Solver.propagations
-         r.stats.Solver.learned_clauses r.stats.Solver.restarts
-         r.stats.Solver.ema_restarts r.stats.Solver.blocked_restarts
-         r.stats.Solver.rephases
-         r.stats.Solver.theory_propagations r.stats.Solver.preprocessed_clauses
-         r.stats.Solver.lbd_reductions
-         (decisions_per_conflict r.stats)
-         (r.stats.Solver.arena_words * (Sys.word_size / 8))
-         r.stats.Solver.arena_compactions r.stats.Solver.minor_words);
-    Buffer.contents buf
+                      J.Obj
+                        [ ("representative", J.Str rep); ("members", J.int (List.length members)) ])
+                    cx.classes) );
+           ])
+      | Verified | Timeout -> []
+    in
+    let certificate =
+      match r.certificate with
+      | Uncertified -> []
+      | Checked_unsat_proof { trace_steps; clauses; lemmas } ->
+        [
+          ( "certificate",
+            J.Obj
+              [
+                ("status", J.Str "checked_unsat_proof");
+                ("trace_steps", J.int trace_steps);
+                ("clauses", J.int clauses);
+                ("lemmas", J.int lemmas);
+              ] );
+        ]
+      | Checked_model -> [ ("certificate", J.Obj [ ("status", J.Str "checked_model") ]) ]
+      | Certification_failed msg ->
+        [ ("certificate", J.Obj [ ("status", J.Str "failed"); ("reason", J.Str msg) ]) ]
+    in
+    let st = r.stats in
+    J.Obj
+      ([
+         ("schema", J.int schema_version);
+         ("label", J.Str r.label);
+         ("verdict", J.Str (verdict_name r.verdict));
+         ("wall_ms", J.Num (round2 r.wall_ms));
+         ("worker", J.int r.worker);
+       ]
+      @ opt "strategy" (fun s -> J.Str s) r.strategy
+      @ (if r.replayed then [ ("replayed", J.Bool true) ] else [])
+      @ opt "method" (fun m -> J.Str (method_name m)) r.method_
+      @ opt "support" str_list r.support
+      @ verdict_fields @ certificate
+      @ [
+          ( "stats",
+            J.Obj
+              [
+                ("conflicts", J.int st.Solver.conflicts);
+                ("decisions", J.int st.Solver.decisions);
+                ("propagations", J.int st.Solver.propagations);
+                ("learned_clauses", J.int st.Solver.learned_clauses);
+                ("restarts", J.int st.Solver.restarts);
+                ("ema_restarts", J.int st.Solver.ema_restarts);
+                ("blocked_restarts", J.int st.Solver.blocked_restarts);
+                ("rephases", J.int st.Solver.rephases);
+                ("theory_propagations", J.int st.Solver.theory_propagations);
+                ("preprocessed_clauses", J.int st.Solver.preprocessed_clauses);
+                ("lbd_reductions", J.int st.Solver.lbd_reductions);
+                ("decisions_per_conflict", J.Num (round2 (decisions_per_conflict st)));
+                ("arena_bytes", J.int (st.Solver.arena_words * (Sys.word_size / 8)));
+                ("arena_compactions", J.int st.Solver.arena_compactions);
+                ("minor_words", J.Num (Float.round st.Solver.minor_words));
+              ] );
+        ])
 
-  let list_to_json rs =
-    "[\n    " ^ String.concat ",\n    " (List.map to_json rs) ^ "\n  ]"
+  let to_json r = Msutil.Json.to_string (json r)
 
   (* Uniform process exit codes (single, batch and parallel mode):
      0 every query holds, 1 any violation, 3 any timeout or worker

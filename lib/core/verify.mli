@@ -99,7 +99,7 @@ module Report : sig
 
   val schema_version : int
   (** The version stamped as ["schema"] on every JSON surface of the
-      repo: {!to_json}, the [BENCH_*.json] writers, and the serve
+      repo: {!json}, the [BENCH_*.json] artifacts, and the serve
       protocol.  Currently [2]. *)
 
   val verdict_name : verdict -> string
@@ -124,11 +124,12 @@ module Report : sig
       search was blind walking over don't-care variables versus
       conflict-driven progress.  Lower is tighter. *)
 
-  val to_json : t -> string
+  val json : t -> Msutil.Json.value
   (** One JSON object — the single renderer behind the CLI's
       [--format json], the bench harness and the serve protocol. *)
 
-  val list_to_json : t list -> string
+  val to_json : t -> string
+  (** [json] printed compactly, on one line. *)
 
   val exit_code : t list -> int
   (** Uniform process exit code for a report suite: [0] every query
@@ -136,8 +137,6 @@ module Report : sig
       certification failure ([2] is reserved for usage and parse
       errors).  Violations dominate timeouts; certification failures
       dominate everything. *)
-
-  val json_escape : string -> string
 end
 
 val run_query : Encode.t -> Query.t -> Report.t

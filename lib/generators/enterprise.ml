@@ -437,3 +437,27 @@ let fleet () =
       let routers = if inject.deep_drop then max routers 5 else routers in
       let routers = if inject.single_homed then max routers 5 else routers in
       make ~seed:(1000 + i) ~routers ~inject ())
+
+let churn_rack_acl t step (net : A.network) =
+  let racks = t.rack_role in
+  let victim = List.nth racks (step mod min 2 (List.length racks)) in
+  let subnet = t.rack_subnet victim in
+  let deny dst = { A.acl_action = A.Deny; acl_dst = dst } in
+  let flip (e : A.acl_entry) =
+    { e with A.acl_action = (match e.A.acl_action with A.Permit -> A.Deny | A.Deny -> A.Permit) }
+  in
+  let mutate (acl : A.acl) =
+    let entries =
+      if step mod 2 = 0 then acl.A.acl_entries @ [ deny (P.make (P.first subnet) 32) ]
+      else match acl.A.acl_entries with e :: rest -> flip e :: rest | [] -> [ deny subnet ]
+    in
+    { acl with A.acl_entries = entries }
+  in
+  let churn (d : A.device) =
+    if d.A.dev_name <> victim then d
+    else
+      match d.A.dev_acls with
+      | acl :: rest -> { d with A.dev_acls = mutate acl :: rest }
+      | [] -> { d with A.dev_acls = [ { A.acl_name = "90"; acl_entries = [ deny subnet ] } ] }
+  in
+  { net with A.net_devices = List.map churn net.A.net_devices }

@@ -45,3 +45,11 @@ val fleet : unit -> t list
     distribution plus the fault-invariance class: 67 hijacks, 29 ACL
     inconsistencies, 24 deep drops, 16 single-homed racks, 16 clean
     networks.  Deterministic. *)
+
+val churn_rack_acl : t -> int -> Config.Ast.network -> Config.Ast.network
+(** [churn_rack_acl t step net] is config churn for delta
+    re-verification: step [step] edits the first ACL of one of [t]'s
+    first two racks (alternating), appending a deny entry on even
+    steps and flipping the first entry's action on odd ones.  The edit
+    touches that one device, so verdicts localized to the other racks
+    can replay across the diff. *)

@@ -313,7 +313,15 @@ let apply_diff t (old_ns : netstate) (new_ns : netstate) =
 
 (* -- request handling ------------------------------------------------------- *)
 
-let err fmt = Printf.ksprintf (fun m -> Printf.sprintf "{\"schema\":%d,\"ok\":false,\"error\":%s}" schema (J.quote m)) fmt
+(* Every response is one compact line: the schema, the outcome, then
+   the op's own fields. *)
+let respond op fields =
+  J.to_string (J.Obj ((("schema", J.int schema) :: ("ok", J.Bool true) :: ("op", J.Str op) :: fields)))
+
+let err fmt =
+  Printf.ksprintf
+    (fun m -> J.to_string (J.Obj [ ("schema", J.int schema); ("ok", J.Bool false); ("error", J.Str m) ]))
+    fmt
 
 let parse_net text =
   match Config.Parser.parse_network text with
@@ -328,8 +336,7 @@ let handle_load t text =
     t.c.loads <- t.c.loads + 1;
     let ns = netstate_of ~slice:t.opts.MS.Options.slice_unused net in
     t.state <- Some ns;
-    Printf.sprintf "{\"schema\":%d,\"ok\":true,\"op\":\"load\",\"devices\":%d,\"key\":%s}" schema
-      (List.length net.A.net_devices) (J.quote ns.ns_key)
+    respond "load" [ ("devices", J.int (List.length net.A.net_devices)); ("key", J.Str ns.ns_key) ]
 
 let handle_diff t text =
   match t.state with
@@ -341,12 +348,16 @@ let handle_diff t text =
       t.c.diffs <- t.c.diffs + 1;
       let new_ns = netstate_of ~slice:t.opts.MS.Options.slice_unused net in
       let o = apply_diff t old_ns new_ns in
-      let names ds = String.concat "," (List.map J.quote ds) in
-      Printf.sprintf
-        "{\"schema\":%d,\"ok\":true,\"op\":\"diff\",\"mode\":\"%s\",\"changed\":[%s],\"coupled\":[%s],\"replayed\":%d,\"dropped\":%d,\"key\":%s}"
-        schema
-        (match o.d_mode with `Delta -> "delta" | `Full -> "full")
-        (names o.d_changed) (names o.d_coupled) o.d_replayed o.d_dropped (J.quote new_ns.ns_key))
+      let names ds = J.Arr (List.map (fun d -> J.Str d) ds) in
+      respond "diff"
+        [
+          ("mode", J.Str (match o.d_mode with `Delta -> "delta" | `Full -> "full"));
+          ("changed", names o.d_changed);
+          ("coupled", names o.d_coupled);
+          ("replayed", J.int o.d_replayed);
+          ("dropped", J.int o.d_dropped);
+          ("key", J.Str new_ns.ns_key);
+        ])
 
 let handle_query t specs req_jobs =
   match t.state with
@@ -415,21 +426,35 @@ let handle_query t specs req_jobs =
       in
       t.c.verdict_hits <- t.c.verdict_hits + !hits;
       t.c.queries_answered <- t.c.queries_answered + !served;
-      Printf.sprintf
-        "{\"schema\":%d,\"ok\":true,\"op\":\"query\",\"answered\":%d,\"verdict_hits\":%d,\"solved\":%d,\"reports\":[%s]}"
-        schema !served !hits (!served - !hits)
-        (String.concat "," (List.map Report.to_json reports)))
+      respond "query"
+        [
+          ("answered", J.int !served);
+          ("verdict_hits", J.int !hits);
+          ("solved", J.int (!served - !hits));
+          ("reports", J.Arr (List.map Report.json reports));
+        ])
 
 let handle_stats t =
   let c = t.c in
-  Printf.sprintf
-    "{\"schema\":%d,\"ok\":true,\"op\":\"stats\",\"loaded\":%b,\"devices\":%d,\"loads\":%d,\"diffs\":%d,\"query_requests\":%d,\"queries_answered\":%d,\"enc_cache_hits\":%d,\"enc_cache_misses\":%d,\"enc_cache_size\":%d,\"verdict_hits\":%d,\"solves\":%d,\"delta_replays\":%d,\"delta_diffs\":%d,\"full_diffs\":%d,\"dropped_verdicts\":%d}"
-    schema
-    (t.state <> None)
-    (match t.state with Some ns -> List.length ns.ns_net.A.net_devices | None -> 0)
-    c.loads c.diffs c.query_requests c.queries_answered c.enc_cache_hits c.enc_cache_misses
-    (Hashtbl.length t.enc_cache) c.verdict_hits c.solves c.delta_replays c.delta_diffs
-    c.full_diffs c.dropped_verdicts
+  respond "stats"
+    [
+      ("loaded", J.Bool (t.state <> None));
+      ( "devices",
+        J.int (match t.state with Some ns -> List.length ns.ns_net.A.net_devices | None -> 0) );
+      ("loads", J.int c.loads);
+      ("diffs", J.int c.diffs);
+      ("query_requests", J.int c.query_requests);
+      ("queries_answered", J.int c.queries_answered);
+      ("enc_cache_hits", J.int c.enc_cache_hits);
+      ("enc_cache_misses", J.int c.enc_cache_misses);
+      ("enc_cache_size", J.int (Hashtbl.length t.enc_cache));
+      ("verdict_hits", J.int c.verdict_hits);
+      ("solves", J.int c.solves);
+      ("delta_replays", J.int c.delta_replays);
+      ("delta_diffs", J.int c.delta_diffs);
+      ("full_diffs", J.int c.full_diffs);
+      ("dropped_verdicts", J.int c.dropped_verdicts);
+    ]
 
 (* One request line in, one response line out.  [`Stop] after a
    [shutdown] acknowledgement. *)
@@ -441,7 +466,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
   | Ok (Protocol.Query { specs; jobs }) -> (handle_query t specs jobs, `Continue)
   | Ok Protocol.Stats -> (handle_stats t, `Continue)
   | Ok Protocol.Shutdown ->
-    (Printf.sprintf "{\"schema\":%d,\"ok\":true,\"op\":\"shutdown\"}" schema, `Stop)
+    (respond "shutdown" [], `Stop)
 
 (* -- the socket server ------------------------------------------------------ *)
 

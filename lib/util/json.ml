@@ -1,5 +1,21 @@
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+type value =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of value list
+  | Obj of (string * value) list
+
+let int n = Num (float_of_int n)
+
+(* 2^53: up to it a float holds every integer exactly; far beyond it
+   [int_of_float] wraps or returns 0. *)
+let max_exact = 9007199254740992.0
+
+(* -- printing ---------------------------------------------------------------- *)
+
+let add_string b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -13,23 +29,103 @@ let escape s =
       | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"'
+
+let quote s =
+  let b = Buffer.create (String.length s + 8) in
+  add_string b s;
   Buffer.contents b
 
-let quote s = "\"" ^ escape s ^ "\""
+(* Integral values up to 2^53 print as integers; other finite values
+   in the shortest %g form that reads back as the same float. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f <= max_exact then
+    string_of_int (int_of_float f)
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let opt = function None -> "null" | Some s -> quote s
+let rec add_compact b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Num f -> Buffer.add_string b (number f)
+  | Str s -> add_string b s
+  | Arr vs ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char b ',';
+        add_compact b v)
+      vs;
+    Buffer.add_char b ']'
+  | Obj kvs ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        add_string b k;
+        Buffer.add_char b ':';
+        add_compact b v)
+      kvs;
+    Buffer.add_char b '}'
+
+let compact v =
+  let b = Buffer.create 256 in
+  add_compact b v;
+  Buffer.contents b
+
+(* Pretty layout, for committed files that should diff row by row: a
+   container stays on one line when it holds no container or its
+   compact form fits in [width] columns; otherwise each element goes
+   on its own indented line. *)
+let width = 100
+
+let rec add_pretty b indent v =
+  let scalar = function Arr _ | Obj _ -> false | _ -> true in
+  let flat = compact v in
+  let too_wide = indent + String.length flat > width in
+  let block opening closing items add_item =
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i item ->
+        Buffer.add_string b (if i > 0 then ",\n" else "\n");
+        Buffer.add_string b (String.make (indent + 2) ' ');
+        add_item item)
+      items;
+    Buffer.add_char b '\n';
+    Buffer.add_string b (String.make indent ' ');
+    Buffer.add_char b closing
+  in
+  match v with
+  | Arr vs when too_wide && not (List.for_all scalar vs) ->
+    block '[' ']' vs (add_pretty b (indent + 2))
+  | Obj kvs when too_wide && not (List.for_all (fun (_, v) -> scalar v) kvs) ->
+    block '{' '}' kvs (fun (k, v) ->
+        add_string b k;
+        Buffer.add_string b ": ";
+        add_pretty b (indent + 2) v)
+  | _ -> Buffer.add_string b flat
+
+let to_string ?(pretty = false) v =
+  if pretty then begin
+    let b = Buffer.create 1024 in
+    add_pretty b 0 v;
+    Buffer.add_char b '\n';
+    Buffer.contents b
+  end
+  else compact v
 
 (* -- parsing ---------------------------------------------------------------- *)
 
-type value =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of value list
-  | Obj of (string * value) list
-
 exception Bad of string
+
+(* Far deeper than any document this repo reads or writes; it bounds
+   the parser's recursion on untrusted request lines. *)
+let max_depth = 512
 
 let parse (s : string) : (value, string) result =
   let n = String.length s in
@@ -130,13 +226,17 @@ let parse (s : string) : (value, string) result =
     | Some f -> f
     | None -> fail "malformed number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
+    let open_container () =
+      if depth >= max_depth then fail "nesting too deep";
+      advance ()
+    in
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '"' -> Str (parse_string ())
     | Some '{' ->
-      advance ();
+      open_container ();
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -148,7 +248,7 @@ let parse (s : string) : (value, string) result =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -162,7 +262,7 @@ let parse (s : string) : (value, string) result =
         Obj (members [])
       end
     | Some '[' ->
-      advance ();
+      open_container ();
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
@@ -170,7 +270,7 @@ let parse (s : string) : (value, string) result =
       end
       else begin
         let rec elements acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -189,7 +289,7 @@ let parse (s : string) : (value, string) result =
     | Some _ -> Num (parse_number ())
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v
@@ -200,10 +300,8 @@ let parse (s : string) : (value, string) result =
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let get_string = function Str s -> Some s | _ -> None
-(* 2^53: beyond it a float no longer holds every integer, and far
-   beyond it [int_of_float] wraps or returns 0. *)
 let get_int = function
-  | Num f when Float.is_integer f && Float.abs f <= 9007199254740992.0 -> Some (int_of_float f)
+  | Num f when Float.is_integer f && Float.abs f <= max_exact -> Some (int_of_float f)
   | _ -> None
 let get_float = function Num f -> Some f | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None

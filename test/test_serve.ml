@@ -100,6 +100,10 @@ let test_malformed () =
   ignore (expect_err (fst (Serve.handle_line d (req_load "hostname R1\nbananas"))));
   (* a \u escape without four hex digits is a parse error, not a crash *)
   ignore (expect_err (fst (Serve.handle_line d {|{"schema":2,"op":"load","config":"\uZZZZ"}|})));
+  (* nesting past the parser's depth bound is a located error *)
+  let e = expect_err (fst (Serve.handle_line d (String.make 100_000 '[' ^ String.make 100_000 ']'))) in
+  Alcotest.(check bool) ("nesting bounded: " ^ e) true
+    (String.starts_with ~prefix:"malformed JSON: nesting too deep at byte" e);
   (* the daemon survives all of the above *)
   let resp = ask d {|{"schema":2,"op":"stats"}|} in
   Alcotest.(check bool) "not loaded" false (get_bool_field resp "loaded")
@@ -112,53 +116,7 @@ let test_malformed () =
    first two are never touched, so verdicts localized to them can
    replay.  Ground truth per step is a fresh daemon that loads the
    mutated text cold. *)
-let mutate_rack step (t : G.Enterprise.t) (net : A.network) =
-  let racks = t.G.Enterprise.rack_role in
-  let victim = List.nth racks (step mod min 2 (List.length racks)) in
-  let subnet = t.G.Enterprise.rack_subnet victim in
-  let mutate_acl (acl : A.acl) =
-    if step mod 2 = 0 then
-      {
-        acl with
-        A.acl_entries =
-          acl.A.acl_entries
-          @ [
-              {
-                A.acl_action = A.Deny;
-                acl_dst = Net.Prefix.make (Net.Prefix.first subnet) 32;
-              };
-            ];
-      }
-    else
-      {
-        acl with
-        A.acl_entries =
-          (match acl.A.acl_entries with
-           | e :: rest ->
-             {
-               e with
-               A.acl_action = (match e.A.acl_action with A.Permit -> A.Deny | A.Deny -> A.Permit);
-             }
-             :: rest
-           | [] -> [ { A.acl_action = A.Deny; acl_dst = subnet } ]);
-      }
-  in
-  {
-    net with
-    A.net_devices =
-      List.map
-        (fun (d : A.device) ->
-          if d.A.dev_name <> victim then d
-          else
-            match d.A.dev_acls with
-            | acl :: rest -> { d with A.dev_acls = mutate_acl acl :: rest }
-            | [] ->
-              {
-                d with
-                A.dev_acls = [ { A.acl_name = "90"; acl_entries = [ { A.acl_action = A.Deny; acl_dst = subnet } ] } ];
-              })
-        net.A.net_devices;
-  }
+let mutate_rack step t net = G.Enterprise.churn_rack_acl t step net
 
 let test_delta_vs_full () =
   let t = Lazy.force base_t in

@@ -1,37 +1,89 @@
-(* Tests of the shared JSON string escaping (Msutil.Json) — the one
-   implementation behind lint --format json/sarif, verify --format json
-   and every bench writer — plus sanity checks of the SARIF rendering
-   built on it. *)
+(* Tests of the one JSON module (Msutil.Json) — the printer behind
+   lint --format json/sarif, verify --format json, the serve protocol
+   and every bench artifact, and the parser of serve requests — plus
+   the SARIF rendering built on it, checked as parsed values. *)
 
 module D = Analysis.Diagnostic
+module J = Msutil.Json
+
+let parse_ok text =
+  match J.parse text with Ok v -> v | Error e -> Alcotest.failf "parse %S: %s" text e
+
+(* A string survives print-then-parse, and its printed form holds no
+   raw control byte (the serve protocol is one line per response). *)
+let check_string name s =
+  let text = J.to_string (J.Str s) in
+  String.iter
+    (fun c -> if Char.code c < 0x20 then Alcotest.failf "%s: raw control byte in %S" name text)
+    text;
+  Alcotest.(check (option string)) name (Some s) (J.get_string (parse_ok text))
 
 let test_escape_plain () =
-  Alcotest.(check string) "identity" "hello" (Msutil.Json.escape "hello");
-  Alcotest.(check string) "empty" "" (Msutil.Json.escape "")
+  check_string "identity" "hello";
+  check_string "empty" ""
 
 let test_escape_specials () =
-  Alcotest.(check string) "quote" "a\\\"b" (Msutil.Json.escape "a\"b");
-  Alcotest.(check string) "backslash" "a\\\\b" (Msutil.Json.escape "a\\b");
-  Alcotest.(check string) "newline" "a\\nb" (Msutil.Json.escape "a\nb");
-  Alcotest.(check string) "cr" "a\\rb" (Msutil.Json.escape "a\rb");
-  Alcotest.(check string) "tab" "a\\tb" (Msutil.Json.escape "a\tb");
-  Alcotest.(check string) "backspace" "a\\bb" (Msutil.Json.escape "a\bb");
-  Alcotest.(check string) "formfeed" "a\\fb" (Msutil.Json.escape "a\012b")
+  List.iter
+    (fun (name, s) -> check_string name s)
+    [
+      ("quote", "a\"b"); ("backslash", "a\\b"); ("newline", "a\nb"); ("cr", "a\rb");
+      ("tab", "a\tb"); ("backspace", "a\bb"); ("formfeed", "a\012b");
+    ]
 
 let test_escape_control () =
-  Alcotest.(check string) "NUL" "\\u0000" (Msutil.Json.escape "\000");
-  Alcotest.(check string) "ESC" "\\u001b" (Msutil.Json.escape "\027");
+  check_string "NUL" "\000";
+  check_string "ESC" "\027";
   (* bytes >= 0x20 pass through untouched, including 8-bit ones *)
-  Alcotest.(check string) "high byte" "\xc3\xa9" (Msutil.Json.escape "\xc3\xa9")
+  Alcotest.(check string) "high byte" "\"\xc3\xa9\"" (J.to_string (J.Str "\xc3\xa9"))
+
+let test_quote () =
+  Alcotest.(check (option string)) "quote" (Some "a\"b") (J.get_string (parse_ok (J.quote "a\"b")));
+  Alcotest.(check string) "quote is the printer" (J.to_string (J.Str "a\"b")) (J.quote "a\"b")
+
+(* Integral values up to 2^53 print without a fraction, others in the
+   shortest form that reads back; NaN and infinities print as null. *)
+let test_numbers () =
+  let show f = J.to_string (J.Num f) in
+  Alcotest.(check string) "integral" "42" (show 42.0);
+  Alcotest.(check string) "negative integral" "-7" (show (-7.0));
+  Alcotest.(check string) "2^53" "9007199254740992" (show 9007199254740992.0);
+  Alcotest.(check string) "shortest" "0.1" (show 0.1);
+  Alcotest.(check string) "two decimals" "12.35" (show 12.35);
+  List.iter
+    (fun f ->
+      if J.parse (show f) <> Ok (J.Num f) then Alcotest.failf "%h printed %s" f (show f))
+    [ 9007199254740994.0; 1e300; -1e-300; 5e-324; Float.pi; 1.0 /. 3.0 ];
+  List.iter
+    (fun f -> Alcotest.(check string) "non-finite" "null" (show f))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string) "inside containers" {|[null,{"x":null}]|}
+    (J.to_string (J.Arr [ J.Num Float.nan; J.Obj [ ("x", J.Num Float.infinity) ] ]))
+
+(* The report renderer goes through the shared printer. *)
+let test_shared_everywhere () =
+  let r =
+    {
+      Minesweeper.Verify.Report.label = "a\"b\\c\nd";
+      verdict = Minesweeper.Verify.Report.Error "e\001";
+      certificate = Minesweeper.Verify.Report.Uncertified;
+      wall_ms = 1.5;
+      stats = Minesweeper.Verify.Report.empty_stats;
+      worker = 0;
+      strategy = None;
+      support = Some [ "x" ];
+      replayed = false;
+      method_ = None;
+    }
+  in
+  Alcotest.(check string)
+    "verify report text is the shared printer's"
+    (J.to_string (Minesweeper.Verify.Report.json r))
+    (Minesweeper.Verify.Report.to_json r)
 
 (* Integral floats past 2^53 used to come back wrapped ([1e300] read as
    [Some 0]), so a request field like ["bound":1e300] ran with bound 0. *)
 let test_get_int_range () =
-  let get text =
-    match Msutil.Json.parse text with
-    | Ok v -> Msutil.Json.get_int v
-    | Error e -> Alcotest.failf "parse %s: %s" text e
-  in
+  let get text = J.get_int (parse_ok text) in
   let check_opt = Alcotest.(check (option int)) in
   check_opt "small" (Some 42) (get "42");
   check_opt "negative" (Some (-7)) (get "-7");
@@ -47,34 +99,89 @@ let test_get_int_range () =
 let test_bad_unicode_escape () =
   List.iter
     (fun text ->
-      match Msutil.Json.parse text with
+      match J.parse text with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted %s" text
       | exception e -> Alcotest.failf "%s raised %s" text (Printexc.to_string e))
     [ {|"\uZZZZ"|}; {|"\u12G4"|}; {|"\u+123"|}; {|"\u1_23"|}; {|"\u12"|} ];
-  match Msutil.Json.parse {|"\u00e9\u0041"|} with
-  | Ok v ->
-    Alcotest.(check (option string)) "decoded" (Some "\xc3\xa9A") (Msutil.Json.get_string v)
-  | Error e -> Alcotest.fail e
+  Alcotest.(check (option string)) "decoded" (Some "\xc3\xa9A") (J.get_string (parse_ok {|"\u00e9\u0041"|}))
 
-let test_quote_and_opt () =
-  Alcotest.(check string) "quote wraps" "\"a\\\"b\"" (Msutil.Json.quote "a\"b");
-  Alcotest.(check string) "opt none" "null" (Msutil.Json.opt None);
-  Alcotest.(check string) "opt some" "\"x\"" (Msutil.Json.opt (Some "x"))
+(* Nesting is bounded: one request line of ten thousand open brackets
+   used to recurse ten thousand deep (and millions of them took
+   seconds to minutes). *)
+let test_nesting_depth () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  (match J.parse (nested 10_000) with
+   | Error e ->
+     Alcotest.(check bool) ("located error: " ^ e) true
+       (String.starts_with ~prefix:"nesting too deep at byte" e)
+   | Ok _ -> Alcotest.fail "10000-deep array accepted");
+  Alcotest.(check bool) "512 deep parses" true (Result.is_ok (J.parse (nested 512)));
+  Alcotest.(check bool) "513 deep rejected" true (Result.is_error (J.parse (nested 513)));
+  Alcotest.(check bool) "objects count too" true
+    (Result.is_error (J.parse (String.concat "" (List.init 600 (fun _ -> {|{"a":|})))))
 
-(* every implementation that used to hand-roll escaping now goes
-   through the shared one *)
-let test_shared_everywhere () =
-  let nasty = "a\"b\\c\nd" in
-  Alcotest.(check string)
-    "verify report escaping is the shared escaping"
-    (Msutil.Json.escape nasty)
-    (Minesweeper.Verify.Report.json_escape nasty)
+let gen_value =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\000'; '\x1f'; '\x7f'; '\xc3'; '\xff' ] ]) (0 -- 10)
+  in
+  let num =
+    oneof
+      [
+        map float_of_int small_signed_int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        oneofl [ 9007199254740992.0; -9007199254740992.0; 9007199254740994.0; 1e300; 0.1; 5e-324 ];
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof [ return J.Null; map (fun b -> J.Bool b) bool; map (fun f -> J.Num f) num; map (fun s -> J.Str s) str ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.Arr l) (list_size (0 -- 4) (self (n / 3))));
+               (1, map (fun l -> J.Obj l) (list_size (0 -- 4) (pair str (self (n / 3)))));
+             ])
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+let prop_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v, compact and pretty" ~count:500
+    (QCheck.make ~print:J.to_string gen_value)
+    (fun v -> J.parse (J.to_string v) = Ok v && J.parse (J.to_string ~pretty:true v) = Ok v)
+
+(* Every committed artifact is valid JSON.  Under dune the test runs
+   in the build copy of test/, with the artifacts copied in as deps
+   one directory up. *)
+let test_artifacts_parse () =
+  let root = if Sys.file_exists "BENCHMARK.json" then "." else ".." in
+  let files =
+    Sys.readdir root |> Array.to_list
+    |> List.filter (fun f ->
+           f = "BENCHMARK.json" || (String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json"))
+    |> List.map (Filename.concat root)
+  in
+  Alcotest.(check bool) "artifacts found" true (List.length files > 1);
+  List.iter
+    (fun f ->
+      match J.parse (In_channel.with_open_bin f In_channel.input_all) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" f e)
+    files
+
+let sarif diags = parse_ok (D.render_sarif ~uri:"net.cfg" diags)
+
+let rec path v = function
+  | [] -> v
+  | k :: rest -> (
+    match (v, int_of_string_opt k) with
+    | J.Arr vs, Some i -> path (List.nth vs i) rest
+    | _ -> path (Option.get (J.member k v)) rest)
+
+let str v p = J.get_string (path v (String.split_on_char '.' p))
 
 let sample_diags () =
   [
@@ -85,22 +192,18 @@ let sample_diags () =
   ]
 
 let test_sarif_shape () =
-  let s = D.render_sarif ~uri:"net.cfg" (sample_diags ()) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains ~needle s))
-    [
-      "\"version\":\"2.1.0\"";
-      "sarif-2.1.0.json";
-      "\"ruleId\":\"MS-E101\"";
-      "\"ruleId\":\"MS-W401\"";
-      "\"level\":\"error\"";
-      "\"level\":\"warning\"";
-      "\"uri\":\"net.cfg\"";
-      (* the device/object location and the escaped quotes inside it *)
-      "route-map \\\"RM\\\"";
-      "\"fullyQualifiedName\":\"core_3\"";
-    ]
+  let s = sarif (sample_diags ()) in
+  let check p want = Alcotest.(check (option string)) p (Some want) (str s p) in
+  check "version" "2.1.0";
+  check "$schema" "https://json.schemastore.org/sarif-2.1.0.json";
+  check "runs.0.results.0.ruleId" "MS-E101";
+  check "runs.0.results.1.ruleId" "MS-W401";
+  check "runs.0.results.0.level" "error";
+  check "runs.0.results.1.level" "warning";
+  check "runs.0.results.0.locations.0.physicalLocation.artifactLocation.uri" "net.cfg";
+  (* the device/object location, quotes intact *)
+  check "runs.0.results.0.locations.0.logicalLocations.0.fullyQualifiedName" "r1/route-map \"RM\"";
+  check "runs.0.results.1.locations.0.logicalLocations.0.fullyQualifiedName" "core_3"
 
 let test_sarif_rules_deduped () =
   (* two findings with one code produce a single rule entry *)
@@ -110,23 +213,13 @@ let test_sarif_rules_deduped () =
       D.make ~code:"MS-W401" ~severity:D.Warning ~device:"b" "y";
     ]
   in
-  let s = D.render_sarif two in
-  let needle = "\"id\":\"" in
-  let nl = String.length needle in
-  let count_rule =
-    let rec go i acc =
-      if i + nl > String.length s then acc
-      else if String.sub s i nl = needle then go (i + nl) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  Alcotest.(check int) "one rule" 1 count_rule;
-  Alcotest.(check bool) "two results" true (contains ~needle:"\"results\":[" s)
+  let s = sarif two in
+  let count p = List.length (Option.get (J.get_list (path s (String.split_on_char '.' p)))) in
+  Alcotest.(check int) "one rule" 1 (count "runs.0.tool.driver.rules");
+  Alcotest.(check int) "two results" 2 (count "runs.0.results")
 
 let test_sarif_empty () =
-  let s = D.render_sarif [] in
-  Alcotest.(check bool) "valid empty run" true (contains ~needle:"\"results\":[]" s)
+  Alcotest.(check bool) "valid empty run" true (path (sarif []) [ "runs"; "0"; "results" ] = J.Arr [])
 
 (* --- Vec: the SAT core's growable array ----------------------------------- *)
 
@@ -222,10 +315,14 @@ let () =
           Alcotest.test_case "plain strings" `Quick test_escape_plain;
           Alcotest.test_case "specials" `Quick test_escape_specials;
           Alcotest.test_case "control chars" `Quick test_escape_control;
-          Alcotest.test_case "quote and opt" `Quick test_quote_and_opt;
+          Alcotest.test_case "quote" `Quick test_quote;
+          Alcotest.test_case "numbers" `Quick test_numbers;
           Alcotest.test_case "shared by verify" `Quick test_shared_everywhere;
           Alcotest.test_case "get_int range" `Quick test_get_int_range;
           Alcotest.test_case "bad unicode escape" `Quick test_bad_unicode_escape;
+          Alcotest.test_case "nesting depth" `Quick test_nesting_depth;
+          QCheck_alcotest.to_alcotest prop_roundtrip;
+          Alcotest.test_case "committed artifacts parse" `Quick test_artifacts_parse;
         ] );
       ( "sarif",
         [
